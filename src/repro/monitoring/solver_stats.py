@@ -35,8 +35,9 @@ class SolverStats:
     solver_time:
         Cumulative wall-clock seconds inside ``solve_max_min``.
     merges / splits:
-        Component-graph maintenance events (activity starts joining
-        components / removals disconnecting one).
+        Component-graph maintenance events: activity starts that joined
+        components, and removals that disconnected a component.  ``splits``
+        counts real disconnections, not flood-fills run.
     component_count:
         Live components at snapshot time.
     peak_components:
@@ -55,6 +56,16 @@ class SolverStats:
         slot engine (see ``set_array_engine_enabled``).  Like the kernel
         dispatch counts, this depends on the engine switch and stays out of
         ``Monitor.run_record()``.
+    connectivity_checks / connectivity_visits:
+        Removals whose component needed a connectivity decision (a
+        multi-resource activity leaving a component that keeps members),
+        and the activities those checks' searches scanned in total.
+    floodfill_calls / floodfill_visits:
+        Flood-fills run after a check found the component disconnected,
+        and the activities they visited.  ``floodfill_calls == splits``.
+        These four measure work done, not results; like the kernel
+        dispatch counts they stay out of ``Monitor.run_record()``, and a
+        snapshot does not carry them, so a resumed model counts from zero.
     """
 
     resolves: int = 0
@@ -71,6 +82,10 @@ class SolverStats:
     scalar_solves: int = 0
     vector_solves: int = 0
     slot_solves: int = 0
+    connectivity_checks: int = 0
+    connectivity_visits: int = 0
+    floodfill_calls: int = 0
+    floodfill_visits: int = 0
 
     @property
     def mean_solve_scope(self) -> float:
@@ -96,6 +111,10 @@ class SolverStats:
             scalar_solves=getattr(model, "scalar_solves", 0),
             vector_solves=getattr(model, "vector_solves", 0),
             slot_solves=getattr(model, "slot_solves", 0),
+            connectivity_checks=getattr(model, "connectivity_checks", 0),
+            connectivity_visits=getattr(model, "connectivity_visits", 0),
+            floodfill_calls=getattr(model, "floodfill_calls", 0),
+            floodfill_visits=getattr(model, "floodfill_visits", 0),
         )
 
     def as_dict(self) -> Dict[str, Any]:
@@ -115,4 +134,8 @@ class SolverStats:
             "scalar_solves": self.scalar_solves,
             "vector_solves": self.vector_solves,
             "slot_solves": self.slot_solves,
+            "connectivity_checks": self.connectivity_checks,
+            "connectivity_visits": self.connectivity_visits,
+            "floodfill_calls": self.floodfill_calls,
+            "floodfill_visits": self.floodfill_visits,
         }

@@ -651,10 +651,14 @@ class FairShareModel:
 
     The model partitions running activities into connected components of
     the activity↔resource graph, maintained incrementally: executing an
-    activity merges the components of the resources it touches; removing
-    one (finish/cancel) rebuilds — scoped to that component only — the
-    partition via adjacency flood-fill (skipped when the removed activity
-    used at most one resource, which cannot disconnect anything).
+    activity merges the components of the resources it touches.  Removing
+    one (finish/cancel) first checks whether its component is still
+    connected: the component stays whole if and only if the removed
+    activity's resources that still have users are linked to each other,
+    so a search from the least-used of them that stops once it has reached
+    the others decides it (no search at all when at most one such resource
+    remains).  Only when that search runs out does the fallback rebuild
+    the component's partition by flood-fill, scoped to that component.
 
     Only components *touched* by a start/cancel/finish are marked dirty and
     re-solved; every other component keeps its rates, horizon, and
@@ -749,8 +753,16 @@ class FairShareModel:
         self.solver_time: float = 0.0
         #: Component merges (activity start joining components).
         self.merges: int = 0
-        #: Component splits (activity removal disconnecting a component).
+        #: Removals that disconnected a component (not flood-fills run).
         self.splits: int = 0
+        #: Connectivity decisions: multi-resource removals from a component
+        #: that keeps members (see ``_still_connected``).
+        self.connectivity_checks: int = 0
+        #: Activities the connectivity searches scanned, summed.
+        self.connectivity_visits: int = 0
+        #: Flood-fills run (``_split`` calls) and activities they visited.
+        self.floodfill_calls: int = 0
+        self.floodfill_visits: int = 0
         #: Most live components observed at once.
         self.peak_components: int = 0
         #: Solve-kernel dispatch counts (see ``solve_max_min``).
@@ -1070,8 +1082,14 @@ class FairShareModel:
         return target
 
     def _remove(self, activity: Activity) -> None:
-        """Detach an activity; rebuild the partition of its component if the
-        removal can have disconnected it (scoped flood-fill, never global)."""
+        """Detach an activity and keep its component's partition exact.
+
+        The component splits only if the removal disconnected it, and that
+        is decided first by :meth:`_still_connected`, a search that stops as
+        soon as the removed activity's remaining resources have found each
+        other.  The scoped flood-fill (:meth:`_split`) runs only when that
+        search fails, i.e. exactly when the component really falls apart.
+        """
         comp = self._comp_of.pop(activity)
         del comp.acts[activity]
         for res in activity.usages:
@@ -1087,13 +1105,64 @@ class FairShareModel:
             return
         # An activity on <= 1 resource is a leaf of the bipartite graph:
         # removing it cannot disconnect the remainder.
-        if self._partition and len(activity.usages) > 1:
+        if (
+            self._partition
+            and len(activity.usages) > 1
+            and not self._still_connected(activity)
+        ):
             self._split(comp)
         else:
             self._mark_dirty(comp)
 
+    def _still_connected(self, activity: Activity) -> bool:
+        """Whether ``activity``'s component is connected without it.
+
+        Exact, by this argument: before the removal every remaining member
+        ``b`` had a path to ``activity``.  Cut that path at the first
+        resource of ``activity`` it reaches; the prefix avoids ``activity``
+        and ends at a resource with a remaining user.  So every member is
+        still linked to one of those *anchor* resources, and the remainder
+        is connected if and only if the anchors are linked to each other.
+        The search starts at the anchor with the fewest users and stops as
+        soon as it has reached every other anchor.
+        """
+        res_users = self._res_users
+        anchors = [res for res in activity.usages if res in res_users]
+        self.connectivity_checks += 1
+        if len(anchors) <= 1:
+            return True
+        start = min(anchors, key=lambda res: len(res_users[res]))
+        targets = set(anchors)
+        targets.discard(start)
+        seen_res = {start}
+        seen_acts: set[Activity] = set()
+        stack = [start]
+        while stack:
+            for act in res_users[stack.pop()]:
+                if act in seen_acts:
+                    continue
+                seen_acts.add(act)
+                for res in act.usages:
+                    if res in seen_res:
+                        continue
+                    seen_res.add(res)
+                    if res in targets:
+                        targets.discard(res)
+                        if not targets:
+                            self.connectivity_visits += len(seen_acts)
+                            return True
+                    stack.append(res)
+        self.connectivity_visits += len(seen_acts)
+        return False
+
     def _split(self, comp: Component) -> None:
-        """Re-derive connected groups of ``comp`` after a removal."""
+        """Re-derive connected groups of ``comp`` after a removal.
+
+        A full flood-fill of the component; :meth:`_remove` calls it only
+        once :meth:`_still_connected` has shown the component disconnected.
+        """
+        self.floodfill_calls += 1
+        self.floodfill_visits += len(comp.acts)
         unvisited = dict.fromkeys(comp.acts)
         groups: List[List[Activity]] = []
         for seed in comp.acts:
@@ -1538,10 +1607,18 @@ class FairShareModel:
 
         finished: List[Activity] = []
         finished_slots: Dict[Activity, int] = {}
+        # An activity is also done when its residue's completion time
+        # rounds to ``now`` (``now + remaining / rate == now``): it cannot
+        # progress, and re-arming would wake at this same instant forever.
         for comp in due:
             self._integrate(comp)
             for act in comp.acts:
-                if act.rate == inf or act.remaining <= _FINISH_TOL * (1 + act.work):
+                rate = act.rate
+                if (
+                    rate == inf
+                    or act.remaining <= _FINISH_TOL * (1 + act.work)
+                    or (rate > 0 and now + act.remaining / rate == now)
+                ):
                     finished.append(act)
             # Always re-solve a component that reached its horizon, even if
             # float drift left nothing quite finished: the new (shorter)
@@ -1574,7 +1651,7 @@ class FairShareModel:
                     t_last[s] = now
                 else:
                     t_last[s] = now
-                if rate == inf or rem <= t_thresh[s]:
+                if rate == inf or rem <= t_thresh[s] or (rate > 0 and now + rem / rate == now):
                     finished.append(act)  # type: ignore[arg-type]
                     finished_slots[act] = s  # type: ignore[index]
                 # Re-dirty like components; a finished slot's dirty mark is

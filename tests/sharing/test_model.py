@@ -260,3 +260,26 @@ class TestNumericalRobustness:
         env.run()
         assert len(finishes) == 5
         assert finishes == sorted(finishes)
+
+    @pytest.mark.parametrize("array_engine", [True, False])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_completion_below_clock_resolution_finishes(self, array_engine, shared):
+        # At t=1e6 the clock resolves ~1.2e-10 s, and this activity needs
+        # 1e-11 s (2e-11 s when shared): its completion time rounds to
+        # ``now`` while its remaining work is far above the finish
+        # tolerance.  It must finish at this instant, not re-arm a wake at
+        # the same time forever.
+        env = Environment()
+        env.run(until=1e6)
+        model = FairShareModel(env, array_engine=array_engine)
+        r = SharedResource("r", 1e11)
+        short = Activity(1.0, {r: 1.0})
+        model.execute(short)
+        if shared:
+            model.execute(Activity(1e12, {r: 1.0}))
+        for _ in range(100):  # bounded: a regression would never finish
+            if short.finished_at is not None:
+                break
+            env.step()
+        assert short.finished_at == 1e6
+        assert short.remaining == 0.0
