@@ -146,24 +146,18 @@ def _pin_engine(engine: Optional[Dict[str, Any]]) -> Callable[[], None]:
     """
     if not engine:
         return lambda: None
-    import repro.sharing.model as sharing_model
     from repro.expressions import compiled_enabled, set_compiled_enabled
     from repro.sharing import array_engine_enabled, set_array_engine_enabled
 
     old_compiled = compiled_enabled()
-    old_vectorize = sharing_model.DEFAULT_VECTORIZE
     old_array = array_engine_enabled()
     if "compiled" in engine:
         set_compiled_enabled(bool(engine["compiled"]))
-    if "vectorize" in engine:
-        value = engine["vectorize"]
-        sharing_model.DEFAULT_VECTORIZE = None if value is None else bool(value)
     if "array_engine" in engine:
         set_array_engine_enabled(bool(engine["array_engine"]))
 
     def restore() -> None:
         set_compiled_enabled(old_compiled)
-        sharing_model.DEFAULT_VECTORIZE = old_vectorize
         set_array_engine_enabled(old_array)
 
     return restore

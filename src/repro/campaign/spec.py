@@ -61,9 +61,8 @@ _LITERAL_KEYS = frozenset({"name", "topology", "file", "type_mix"})
 _WORKLOAD_KINDS = ("generate", "file", "inline", "swf")
 
 #: Engine-backend pins a scenario may carry: ``compiled`` (expression
-#: pipeline), ``vectorize`` (max-min solver dispatch; ``None`` = auto),
-#: ``array_engine`` (struct-of-arrays slot engine).
-ENGINE_MODES = frozenset({"array_engine", "compiled", "vectorize"})
+#: pipeline) and ``array_engine`` (struct-of-arrays slot engine).
+ENGINE_MODES = frozenset({"array_engine", "compiled"})
 
 
 class CampaignError(Exception):
@@ -135,9 +134,8 @@ def derive_seed(base_seed: int, *parts: Any) -> int:
 def _normalize_engine(engine: Mapping[str, Any]) -> Dict[str, Any]:
     """Validate an engine-pinning block and fold values to booleans.
 
-    Recognised keys are :data:`ENGINE_MODES`; ``vectorize`` additionally
-    accepts ``None`` for the shipped auto-dispatch.  Grid expressions
-    resolve to numbers, so 0/1 are accepted and folded to booleans.
+    Recognised keys are :data:`ENGINE_MODES`.  Grid expressions resolve
+    to numbers, so 0/1 are accepted and folded to booleans.
     """
     unknown = set(engine) - ENGINE_MODES
     if unknown:
@@ -148,9 +146,7 @@ def _normalize_engine(engine: Mapping[str, Any]) -> Dict[str, Any]:
     out: Dict[str, Any] = {}
     for key in sorted(engine):
         value = engine[key]
-        if value is None and key == "vectorize":
-            out[key] = None
-        elif isinstance(value, bool):
+        if isinstance(value, bool):
             out[key] = value
         elif isinstance(value, (int, float)) and value in (0, 1):
             out[key] = bool(value)

@@ -2,9 +2,9 @@
 
 The paper's central claim is that the simulator handles rigid, moldable,
 evolving, and malleable jobs *correctly under arbitrary scheduler
-decisions* — and the engine carries several performance-motivated A/B
-pairs (compiled vs. interpreted expressions, scalar vs. vectorized
-max-min kernel) whose equivalence hand-written tests only spot-check.
+decisions* — and the engine carries performance-motivated A/B pairs
+(compiled vs. interpreted expressions, array vs. object engine) whose
+equivalence hand-written tests only spot-check.
 This package turns those oracles into a generative harness:
 
 * :func:`generate_scenario` — a random-but-valid scenario (platform,
@@ -13,7 +13,8 @@ This package turns those oracles into a generative harness:
   ready-to-run campaign/:meth:`~repro.batch.Simulation.from_spec` dict;
 * :mod:`repro.fuzz.oracles` — the pluggable oracle stack: *differential*
   (byte-identical ``run_record`` across all engine-mode combinations),
-  *invariant* (``check_invariants=True`` streaming audit), and
+  *invariant* (``check_invariants=True`` streaming audit), *maxmin* (an
+  independent bottleneck certificate for every max-min solve), and
   *metamorphic* (job-id relabelling, power-of-two time/work scaling,
   never-allocated spare nodes, rigid jobs as single-point malleables);
 * :func:`shrink_scenario` — greedy reduction of a failing scenario (drop

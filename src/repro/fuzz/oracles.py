@@ -1,15 +1,18 @@
 """The pluggable oracle stack: what "correct" means without a reference run.
 
-A fuzzer needs a verdict for workloads nobody hand-computed.  Three oracle
+A fuzzer needs a verdict for workloads nobody hand-computed.  Four oracle
 families provide one:
 
 * **differential** — the engine's performance A/B pairs (compiled vs.
-  interpreted expressions x scalar vs. vectorized vs. auto max-min
-  kernel) are *specified* to be pure optimisations: ``run_record()`` must
-  serialise byte-identically across all mode combinations.
+  interpreted expressions x array vs. object engine) are *specified* to
+  be pure optimisations: ``run_record()`` must serialise byte-identically
+  across all mode combinations.
 * **invariant** — the streaming :class:`~repro.tracing.InvariantChecker`
   audits conservation laws (node accounting, queue accounting, monotone
   time) during a reference-mode run.
+* **maxmin** — every max-min solve of an object-engine run must satisfy
+  the textbook bottleneck characterisation of a weighted max-min fair
+  allocation, checked by code that shares nothing with the solver.
 * **metamorphic** — known-answer *transformations*: relabelling job ids,
   scaling every time-dimensioned quantity by a power of two, adding spare
   nodes no policy will ever allocate, re-typing rigid jobs as
@@ -28,18 +31,19 @@ import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-#: Engine-mode matrix (compiled expressions?, DEFAULT_VECTORIZE, array
-#: engine?).  The first entry is the reference configuration (everything
-#: shipped/default); ``None`` is the vectorize auto-dispatch; the last
-#: column flips the struct-of-arrays slot engine
+#: Engine-mode matrix (compiled expressions?, array engine?).  The first
+#: entry is the reference configuration (everything shipped/default); the
+#: second column flips the struct-of-arrays slot engine
 #: (:func:`repro.sharing.set_array_engine_enabled`).
 MODES = [
-    (True, None, True),
-    (True, None, False),
-    (True, False, True),
-    (True, True, False),
-    (False, False, False),
+    (True, True),
+    (True, False),
+    (False, False),
 ]
+
+#: Relative slack of the max-min certificate: far above the solver's
+#: float drift, far below any real misallocation.
+MAXMIN_TOL = 1e-9
 
 #: Power-of-two factor used by the time-scaling oracle.  Must be a power
 #: of two: multiplying IEEE doubles by 2**n is exact and commutes with
@@ -63,7 +67,6 @@ def run_scenario_record(
     scenario: Dict[str, Any],
     *,
     compiled: bool = True,
-    vectorize: Optional[bool] = None,
     array: Optional[bool] = None,
     check_invariants: bool = False,
     prefail: int = 0,
@@ -76,14 +79,11 @@ def run_scenario_record(
     adding capacity that is provably never allocated without racing the
     t=0 scheduler invocation).
     """
-    import repro.sharing.model as sharing_model
     from repro import Simulation
     from repro.expressions import set_compiled_enabled
     from repro.sharing import array_engine_enabled, set_array_engine_enabled
 
     set_compiled_enabled(compiled)
-    old_vectorize = sharing_model.DEFAULT_VECTORIZE
-    sharing_model.DEFAULT_VECTORIZE = vectorize
     old_array = array_engine_enabled()
     if array is not None:
         set_array_engine_enabled(array)
@@ -95,7 +95,6 @@ def run_scenario_record(
         monitor = sim.run(check_invariants=check_invariants)
     finally:
         set_compiled_enabled(True)
-        sharing_model.DEFAULT_VECTORIZE = old_vectorize
         set_array_engine_enabled(old_array)
     return monitor.run_record()
 
@@ -136,21 +135,91 @@ def _inline_jobs(scenario: Dict[str, Any]) -> List[Dict[str, Any]]:
 def differential_oracle(scenario: Dict[str, Any]) -> Optional[OracleFailure]:
     """run_record must be byte-identical across all engine modes."""
     reference = run_scenario_record(
-        scenario, compiled=MODES[0][0], vectorize=MODES[0][1], array=MODES[0][2]
+        scenario, compiled=MODES[0][0], array=MODES[0][1]
     )
     reference_bytes = _canonical(reference)
-    for compiled, vectorize, array in MODES[1:]:
-        record = run_scenario_record(
-            scenario, compiled=compiled, vectorize=vectorize, array=array
-        )
+    for compiled, array in MODES[1:]:
+        record = run_scenario_record(scenario, compiled=compiled, array=array)
         if _canonical(record) != reference_bytes:
             return OracleFailure(
                 "differential",
                 f"run_record diverged under compiled={compiled} "
-                f"vectorize={vectorize} array={array}: "
-                f"{_first_diff(reference, record)}",
+                f"array={array}: {_first_diff(reference, record)}",
             )
     return None
+
+
+# -- max-min certificate ------------------------------------------------------
+
+
+def maxmin_violation(acts: List[Any], tol: float = MAXMIN_TOL) -> Optional[str]:
+    """Check solved rates against the bottleneck characterisation.
+
+    ``acts`` must be every user of the resources they touch (one
+    connected component).  An allocation is weighted max-min fair iff it
+    is feasible — each resource's load ``sum(u * rate)`` is within its
+    capacity and each rate within ``[0, bound]`` — and every activity
+    below its bound has a *bottleneck*: a saturated resource on which its
+    ``rate / weight`` is maximal among that resource's users.  Returns a
+    description of the first violation, or ``None``.
+    """
+    load: Dict[Any, float] = {}
+    top_share: Dict[Any, float] = {}
+    for act in acts:
+        share = act.rate / act.weight
+        for res, factor in act.usages.items():
+            load[res] = load.get(res, 0.0) + factor * act.rate
+            top_share[res] = max(top_share.get(res, 0.0), share)
+    for res, used in load.items():
+        if not used <= res.capacity * (1 + tol):
+            return f"{res.name} overloaded: load {used!r} > capacity {res.capacity!r}"
+    for act in acts:
+        if not 0.0 <= act.rate <= act.bound * (1 + tol):
+            return f"activity rate {act.rate!r} outside [0, bound={act.bound!r}]"
+        if act.rate >= act.bound * (1 - tol):
+            continue
+        share = act.rate / act.weight
+        if not any(
+            load[res] >= res.capacity * (1 - tol)
+            and share >= top_share[res] * (1 - tol)
+            for res in act.usages
+        ):
+            return (
+                f"activity at rate {act.rate!r} (bound {act.bound!r}) has no "
+                f"bottleneck among {sorted(r.name for r in act.usages)}"
+            )
+    return None
+
+
+def maxmin_oracle(scenario: Dict[str, Any]) -> Optional[OracleFailure]:
+    """Every object-engine max-min solve must pass :func:`maxmin_violation`.
+
+    The object engine (``array=False``) routes every solve through
+    ``solve_max_min``; the certificate wraps it for this run only.
+    """
+    import repro.sharing.model as sharing_model
+
+    solve = sharing_model.solve_max_min
+    solves = 0
+    found: List[str] = []
+
+    def certified(activities: Iterable[Any]) -> str:
+        nonlocal solves
+        acts = list(activities)
+        path = solve(acts)
+        solves += 1
+        if not found:
+            problem = maxmin_violation(acts)
+            if problem is not None:
+                found.append(f"solve #{solves}: {problem}")
+        return path
+
+    sharing_model.solve_max_min = certified
+    try:
+        run_scenario_record(scenario, array=False)
+    finally:
+        sharing_model.solve_max_min = solve
+    return OracleFailure("maxmin", found[0]) if found else None
 
 
 # -- invariant ----------------------------------------------------------------
@@ -458,6 +527,7 @@ def corridor_relax_oracle(scenario: Dict[str, Any]) -> Optional[OracleFailure]:
 ORACLES: Dict[str, Callable[[Dict[str, Any]], Optional[OracleFailure]]] = {
     "differential": differential_oracle,
     "invariant": invariant_oracle,
+    "maxmin": maxmin_oracle,
     "permute-jids": permute_jids_oracle,
     "scale-time": scale_time_oracle,
     "spare-nodes": spare_nodes_oracle,

@@ -19,7 +19,7 @@ zero-duration transients never register as a peak.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 
 class PowerMeter:
@@ -93,14 +93,6 @@ class PowerMeter:
         """Aggregate draw right now (incrementally maintained)."""
         return self._total_watts
 
-    @property
-    def max_watts(self) -> float:
-        return self._max_watts
-
-    def node_energies(self) -> List[Fraction]:
-        """Exact per-node energies integrated so far (joules)."""
-        return list(self._energy)
-
     def total_energy(self) -> Fraction:
         """Exact machine-wide energy integrated so far (joules)."""
         return sum(self._energy, Fraction(0))
@@ -134,10 +126,3 @@ class PowerMeter:
         self._total_watts = state["total"]
         self._max_watts = state["max"]
         self._last_change = state["last_change"]
-
-
-def attach_power_meter(env, platform) -> Optional[PowerMeter]:
-    """Build and register a meter when the platform declares power draw."""
-    if not platform.power_enabled:
-        return None
-    return PowerMeter(env, platform)

@@ -44,13 +44,12 @@ class SolverStats:
         Most live components observed at once.
     size_histogram:
         Component size → count, at snapshot time.
-    fast_solves / scalar_solves / vector_solves:
-        How many component solves took the single-activity fast path, the
-        scalar progressive-filling loop, and the vectorized numpy kernel
-        respectively (``fast + scalar + vector == resolves``).  These are
-        wall-clock-free and deterministic for a fixed ``vectorize`` setting,
-        but they *depend* on that setting, so they stay out of
-        ``Monitor.run_record()``.
+    fast_solves / scalar_solves:
+        How many component solves took the single-activity fast path and
+        the scalar progressive-filling loop respectively
+        (``fast + scalar == resolves``).  These are wall-clock-free and
+        deterministic, but they count solver work rather than results, so
+        they stay out of ``Monitor.run_record()``.
     slot_solves:
         How many of the ``fast_solves`` were served by the struct-of-arrays
         slot engine (see ``set_array_engine_enabled``).  Like the kernel
@@ -80,7 +79,6 @@ class SolverStats:
     size_histogram: Dict[int, int] = field(default_factory=dict)
     fast_solves: int = 0
     scalar_solves: int = 0
-    vector_solves: int = 0
     slot_solves: int = 0
     connectivity_checks: int = 0
     connectivity_visits: int = 0
@@ -109,7 +107,6 @@ class SolverStats:
             # getattr: tolerate solver doubles that predate path counters.
             fast_solves=getattr(model, "fast_solves", 0),
             scalar_solves=getattr(model, "scalar_solves", 0),
-            vector_solves=getattr(model, "vector_solves", 0),
             slot_solves=getattr(model, "slot_solves", 0),
             connectivity_checks=getattr(model, "connectivity_checks", 0),
             connectivity_visits=getattr(model, "connectivity_visits", 0),
@@ -132,7 +129,6 @@ class SolverStats:
             "size_histogram": {str(k): v for k, v in self.size_histogram.items()},
             "fast_solves": self.fast_solves,
             "scalar_solves": self.scalar_solves,
-            "vector_solves": self.vector_solves,
             "slot_solves": self.slot_solves,
             "connectivity_checks": self.connectivity_checks,
             "connectivity_visits": self.connectivity_visits,

@@ -8,11 +8,6 @@ from typing import List, Optional, Sequence, Set
 from repro.platform.components import Node, NodeState, Pfs, PlatformError
 from repro.platform.topology import PFS, Route, Topology
 
-try:  # numpy backs the node-state masks; everything degrades to sets
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 
 class Platform:
     """A complete machine description.
@@ -78,27 +73,14 @@ class Platform:
         # *query*.  A node can belong to one platform at a time.
         self._free_ids: List[int] = []
         self._allocated_ids: Set[int] = set()
-        self._failed_ids: Set[int] = set()
         #: Materialised free_nodes() result, rebuilt only after a change.
         self._free_cache: Optional[List[Node]] = None
-        #: Node-state struct-of-arrays: boolean masks indexed by node id.
-        #: Maintained alongside the index structures so bulk queries
-        #: (counts, histograms, vectorized scheduling policies) read one
-        #: array instead of walking Node objects.  ``None`` without numpy.
-        self._free_mask = _np.zeros(len(self.nodes), dtype=bool) if _np is not None else None
-        self._failed_mask = _np.zeros(len(self.nodes), dtype=bool) if _np is not None else None
         for node in self.nodes:
             node._pool = self
             if node.free:
                 self._free_ids.append(node.index)
-                if self._free_mask is not None:
-                    self._free_mask[node.index] = True
             if node.assigned_job is not None:
                 self._allocated_ids.add(node.index)
-            if node.failed:
-                self._failed_ids.add(node.index)
-                if self._failed_mask is not None:
-                    self._failed_mask[node.index] = True
 
     # -- sizing -----------------------------------------------------------
 
@@ -117,8 +99,7 @@ class Platform:
         index = node.index
         free_ids = self._free_ids
         self._free_cache = None
-        is_free = node.state is NodeState.FREE and not node.failed
-        if is_free:
+        if node.state is NodeState.FREE and not node.failed:
             pos = bisect_left(free_ids, index)
             if pos == len(free_ids) or free_ids[pos] != index:
                 insort(free_ids, index)
@@ -130,13 +111,6 @@ class Platform:
             self._allocated_ids.add(index)
         else:
             self._allocated_ids.discard(index)
-        if node.failed:
-            self._failed_ids.add(index)
-        else:
-            self._failed_ids.discard(index)
-        if self._free_mask is not None:
-            self._free_mask[index] = is_free
-            self._failed_mask[index] = node.failed
         if self._power_listener is not None:
             self._power_listener.node_changed(node)
 
@@ -161,21 +135,6 @@ class Platform:
     def num_allocated_nodes(self) -> int:
         """Nodes currently held by jobs (excludes failed-but-idle nodes)."""
         return len(self._allocated_ids)
-
-    def num_failed_nodes(self) -> int:
-        return len(self._failed_ids)
-
-    def free_mask(self):
-        """Boolean numpy mask of free nodes (``None`` without numpy).
-
-        Indexed by node id; a read-only struct-of-arrays view for bulk
-        queries and vectorized policies.  Callers must not write to it.
-        """
-        return self._free_mask
-
-    def failed_mask(self):
-        """Boolean numpy mask of failed nodes (``None`` without numpy)."""
-        return self._failed_mask
 
     def utilization(self) -> float:
         """Fraction of nodes currently allocated."""

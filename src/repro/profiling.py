@@ -292,8 +292,7 @@ def format_profile_report(payload: Dict[str, Any]) -> str:
             "solver     : "
             f"{solver.get('resolves', 0)} resolves "
             f"(fast={solver.get('fast_solves', 0)} "
-            f"scalar={solver.get('scalar_solves', 0)} "
-            f"vector={solver.get('vector_solves', 0)})"
+            f"scalar={solver.get('scalar_solves', 0)})"
         )
     expr = counters.get("expressions") or {}
     if expr:

@@ -35,28 +35,9 @@ from typing import Any, Dict, Iterable, List, Optional
 from repro.des.environment import Environment
 from repro.des.events import Event, PooledEvent, URGENT
 
-try:  # numpy backs the vectorized solver; scalar path needs nothing
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 
 #: Relative slack used when deciding that remaining work hit zero.
 _FINISH_TOL = 1e-9
-
-#: Component size from which the auto dispatch (``vectorize=None``) picks
-#: the numpy kernel; below it, array setup costs more than the dict scans.
-VECTOR_CROSSOVER = 32
-
-#: Dirty-slot batch size from which the array engine's slot solve switches
-#: to the numpy kernel; below it the scalar loop is cheaper (same floats
-#: either way, so the crossover only affects speed).
-SLOT_VECTOR_CROSSOVER = 32
-
-#: Process-wide default for ``solve_max_min``'s auto dispatch: ``True``
-#: forces the vectorized kernel, ``False`` forces the scalar loop, ``None``
-#: selects by component size.  Tests flip this for whole-run A/B checks.
-DEFAULT_VECTORIZE: Optional[bool] = None
 
 #: Process-wide default for the struct-of-arrays "slot" engine (see
 #: :class:`_SlotTable`).  On by default; ``ELASTISIM_ARRAY_ENGINE=0`` in
@@ -235,24 +216,19 @@ class Activity:
         return self._model is not None
 
 
-def solve_max_min(
-    activities: Iterable[Activity], *, vectorize: Optional[bool] = None
-) -> str:
+def solve_max_min(activities: Iterable[Activity]) -> str:
     """Assign weighted max-min fair rates to ``activities`` in place.
 
     Implements progressive filling.  Activities with no resource usages are
     only limited by their ``bound`` (infinite bound → infinite rate, which
     the model treats as instantaneous completion of their remaining work).
 
-    ``vectorize`` selects the kernel: ``False`` runs the reference scalar
-    loop, ``True`` the numpy kernel, ``None`` (default) defers to
-    :data:`DEFAULT_VECTORIZE` and otherwise auto-dispatches by component
-    size (:data:`VECTOR_CROSSOVER`).  Both kernels — and the
-    single-activity fast path — are *bit-identical*: same float operations
-    in the same order, same freeze order, same tie-breaking (asserted by
-    ``tests/sharing/test_vectorized_solver.py``), so campaign fingerprints
-    do not depend on the dispatch.  Returns the path taken (``"fast"``,
-    ``"scalar"``, or ``"vector"``) for the model's perf counters.
+    A single activity takes the unrolled fast path, anything larger the
+    reference scalar loop.  The two are *bit-identical* (same float
+    operations in the same order, asserted by
+    ``tests/sharing/test_solver_paths.py``), so campaign fingerprints do
+    not depend on the dispatch.  Returns the path taken (``"fast"`` or
+    ``"scalar"``) for the model's perf counters.
     """
     # Deterministic processing order (creation order): float accumulation
     # and tie-breaking must not depend on set iteration order, or identical
@@ -264,12 +240,6 @@ def solve_max_min(
         _solve_single(acts[0])
         return "fast"
     acts.sort(key=lambda a: a._seq)
-    mode = vectorize if vectorize is not None else DEFAULT_VECTORIZE
-    if _np is not None and (
-        mode is True or (mode is None and len(acts) >= VECTOR_CROSSOVER)
-    ):
-        _solve_vector(acts)
-        return "vector"
     _solve_scalar(acts)
     return "scalar"
 
@@ -422,140 +392,6 @@ def _solve_scalar(acts: List[Activity]) -> None:
             bounded.pop(act, None)
 
 
-def _solve_vector(acts: List[Activity]) -> None:
-    """Numpy progressive filling, bit-identical to :func:`_solve_scalar`.
-
-    Index ``i`` stands in for the activity at position ``i`` of the
-    creation-ordered ``acts`` list, and resources are numbered in the same
-    first-encounter order the scalar loop builds its dicts in.  Every float
-    operation is a float64 elementwise op matching a scalar Python-float op
-    one-to-one (IEEE-identical), ``np.argmin`` returns the first occurrence
-    of the minimum — the scalar loop's strict-``<`` first-win tie-break —
-    and freezes are processed in the same insertion order.  The scalar
-    demand *accumulation* (first-encounter order) and per-freeze demand
-    decrements stay plain Python floats so rounding matches exactly.
-    """
-    np = _np
-    n = len(acts)
-    rates = np.zeros(n)
-    weights = np.empty(n)
-    bounds = np.empty(n)
-    unfrozen = np.zeros(n, dtype=bool)
-    n_unfrozen = 0
-    for i, act in enumerate(acts):
-        act.rate = 0.0
-        weights[i] = act.weight
-        bounds[i] = act.bound
-        if act.usages:
-            unfrozen[i] = True
-            n_unfrozen += 1
-        else:
-            rates[i] = act.bound  # unconstrained: progress at the bound
-
-    if n_unfrozen:
-        # Resource tables, in the scalar loop's first-encounter order.
-        res_index: Dict[SharedResource, int] = {}
-        caps: List[float] = []
-        demand_py: List[float] = []
-        users: List[Dict[int, None]] = []
-        act_edges: List[Optional[List[tuple]]] = [None] * n
-        for i, act in enumerate(acts):
-            if not unfrozen[i]:
-                continue
-            w = act.weight
-            edges = []
-            for res, factor in act.usages.items():
-                j = res_index.get(res)
-                if j is None:
-                    j = len(caps)
-                    res_index[res] = j
-                    caps.append(res.capacity)
-                    demand_py.append(0.0)
-                    users.append({})
-                demand_py[j] += factor * w
-                users[j][i] = None
-                edges.append((j, factor))
-            act_edges[i] = edges
-        m = len(caps)
-        caps_arr = np.array(caps)
-        residual = caps_arr.copy()
-        demand = np.array(demand_py)
-        user_count = np.fromiter(
-            (len(u) for u in users), dtype=np.int64, count=m
-        )
-        sat_tol = np.maximum(1e-12, 1e-12 * caps_arr)
-        bounded: Dict[int, None] = {
-            i: None for i in range(n) if unfrozen[i] and acts[i].bound < inf
-        }
-        ratios = np.empty(m)
-
-        while n_unfrozen:
-            theta = inf
-            limiting_res = -1
-            limiting_act = -1
-            active = (user_count > 0) & (demand > 1e-15)
-            if active.any():
-                np.copyto(ratios, inf)
-                np.divide(residual, demand, out=ratios, where=active)
-                j = int(np.argmin(ratios))
-                t = float(ratios[j])
-                if t < inf:
-                    theta = t
-                    limiting_res = j
-            if bounded:
-                b_idx = np.fromiter(bounded, dtype=np.int64, count=len(bounded))
-                b_ratios = (bounds[b_idx] - rates[b_idx]) / weights[b_idx]
-                k = int(np.argmin(b_ratios))
-                t = float(b_ratios[k])
-                if t < theta:
-                    theta = t
-                    limiting_res = -1
-                    limiting_act = int(b_idx[k])
-
-            if theta == inf:
-                rates[unfrozen] = inf
-                break
-
-            if theta > 0:
-                rates[unfrozen] += theta * weights[unfrozen]
-                residual -= theta * demand
-
-            frozen: Dict[int, None] = {}
-            sat = (user_count > 0) & (residual <= sat_tol)
-            for j in np.nonzero(sat)[0]:
-                residual[j] = 0.0
-                frozen.update(users[j])
-            for i in bounded:
-                if rates[i] >= bounds[i] * (1 - 1e-12):
-                    rates[i] = bounds[i]
-                    frozen[i] = None
-            if limiting_res >= 0 and user_count[limiting_res] > 0:
-                frozen.update(users[limiting_res])
-                residual[limiting_res] = 0.0
-            if limiting_act >= 0:
-                rates[limiting_act] = bounds[limiting_act]
-                frozen[limiting_act] = None
-
-            if not frozen:  # pragma: no cover - defensive; cannot happen now
-                frozen = {i: None for i in range(n) if unfrozen[i]}
-
-            for i in frozen:
-                if not unfrozen[i]:
-                    continue
-                w = acts[i].weight
-                for j, factor in act_edges[i]:
-                    uj = users[j]
-                    del uj[i]
-                    user_count[j] -= 1
-                    demand[j] = demand[j] - factor * w if uj else 0.0
-                unfrozen[i] = False
-                n_unfrozen -= 1
-                bounded.pop(i, None)
-
-    for i, act in enumerate(acts):
-        act.rate = float(rates[i])
-
-
 class Component:
     """One connected component of the activity↔resource graph.
 
@@ -588,13 +424,9 @@ class _SlotTable:
     solves are singletons), and each one pays for a ``Component`` object, a
     per-component dict walk, and attribute chasing per solve.  The slot
     table strips that to parallel Python lists indexed by an integer slot:
-    one row per live simple activity, scalar reads/writes on hot paths, and
-    bulk numpy gathers when enough slots are dirty at one instant
-    (:data:`SLOT_VECTOR_CROSSOVER`).
-
-    Plain lists beat numpy arrays for the per-slot scalar traffic (indexed
-    numpy scalar writes cost ~3x a list store); numpy enters only at batch
-    solve points where whole columns are gathered at once.
+    one row per live simple activity and scalar reads/writes on hot paths
+    (plain lists beat numpy arrays for this traffic: an indexed numpy
+    scalar write costs ~3x a list store).
 
     The table is an engine-internal mirror: ``Activity.rate`` and
     ``Activity.remaining`` are written back at exactly the observation
@@ -681,10 +513,6 @@ class FairShareModel:
         ``False`` forces every activity into one global component — the
         pre-incremental behaviour, kept as a bit-exact reference for tests
         and old-vs-new benchmarks.
-    vectorize:
-        Per-model override for the solver kernel, passed through to
-        :func:`solve_max_min` (``None`` = auto by component size; both
-        kernels are bit-identical, so this only affects speed).
     array_engine:
         Per-model override for the struct-of-arrays slot engine
         (:class:`_SlotTable`); ``None`` (default) defers to the process-wide
@@ -701,12 +529,10 @@ class FairShareModel:
         env: Environment,
         *,
         partition: bool = True,
-        vectorize: Optional[bool] = None,
         array_engine: Optional[bool] = None,
     ) -> None:
         self.env = env
         self._partition = partition
-        self._vectorize = vectorize
         use_array = _ARRAY_ENGINE if array_engine is None else array_engine
         #: Slot table for simple (single-resource, sole-user) activities;
         #: ``None`` runs everything through the object engine.
@@ -768,7 +594,6 @@ class FairShareModel:
         #: Solve-kernel dispatch counts (see ``solve_max_min``).
         self.fast_solves: int = 0
         self.scalar_solves: int = 0
-        self.vector_solves: int = 0
         #: Solves served by the struct-of-arrays slot engine (a subset of
         #: ``fast_solves``: every slot solve is a singleton solve).
         self.slot_solves: int = 0
@@ -1381,12 +1206,10 @@ class FairShareModel:
                     if not comp.alive or not comp.acts:
                         continue
                     started = perf_counter()
-                    path = solve_max_min(comp.acts, vectorize=self._vectorize)
+                    path = solve_max_min(comp.acts)
                     self.solver_time += perf_counter() - started
                     if path == "fast":
                         self.fast_solves += 1
-                    elif path == "vector":
-                        self.vector_solves += 1
                     else:
                         self.scalar_solves += 1
                     self.resolves += 1
@@ -1441,10 +1264,7 @@ class FairShareModel:
         re-solve reduces to the batched completion-horizon recomputation:
         per slot, one finished check and one ``remaining / rate`` division,
         then a horizon-heap push — the same float operations (hence bits)
-        as the object engine's per-component ``_flush`` loop.  Above
-        :data:`SLOT_VECTOR_CROSSOVER` the divisions run as one numpy sweep
-        (float64 elementwise ops are IEEE-identical, so only speed
-        changes).
+        as the object engine's per-component ``_flush`` loop.
         """
         table = self._array
         assert table is not None
@@ -1453,57 +1273,29 @@ class FairShareModel:
         entry_ids = self._entry_ids
         acts = table.act
         rate0 = table.rate0
+        remaining = table.remaining
+        thresh = table.thresh
         version = table.version
         count_solved = 0
-        if (
-            _np is not None
-            and self._vectorize is not False
-            and len(slots) >= SLOT_VECTOR_CROSSOVER
-        ):
-            np = _np
-            idx = [s for s in slots if acts[s] is not None]
-            if idx:
-                rates = np.array([rate0[s] for s in idx])
-                rem = np.array([table.remaining[s] for s in idx])
-                thresh = np.array([table.thresh[s] for s in idx])
-                finished = (rates == inf) | (rem <= thresh)
-                horizons = np.full(len(idx), inf)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(rem, rates, out=horizons, where=rates > 0)
-                horizons[finished] = 0.0
-                if np.isinf(horizons).any():
-                    raise RuntimeError(
-                        "FairShareModel deadlock: no activity can progress"
-                    )
-                abs_h = now + horizons
-                for k, s in enumerate(idx):
-                    acts[s].rate = rate0[s]  # type: ignore[union-attr]
-                    v = version[s] + 1
-                    version[s] = v
-                    heappush(heap, (float(abs_h[k]), next(entry_ids), s, v))
-                count_solved = len(idx)
-        else:
-            remaining = table.remaining
-            thresh = table.thresh
-            for s in slots:
-                act = acts[s]
-                if act is None:
-                    continue
-                rate = rate0[s]
-                act.rate = rate
-                rem = remaining[s]
-                if rate == inf or rem <= thresh[s]:
-                    horizon = 0.0
-                elif rate > 0:
-                    horizon = rem / rate
-                else:
-                    raise RuntimeError(
-                        "FairShareModel deadlock: no activity can progress"
-                    )
-                v = version[s] + 1
-                version[s] = v
-                heappush(heap, (now + horizon, next(entry_ids), s, v))
-                count_solved += 1
+        for s in slots:
+            act = acts[s]
+            if act is None:
+                continue
+            rate = rate0[s]
+            act.rate = rate
+            rem = remaining[s]
+            if rate == inf or rem <= thresh[s]:
+                horizon = 0.0
+            elif rate > 0:
+                horizon = rem / rate
+            else:
+                raise RuntimeError(
+                    "FairShareModel deadlock: no activity can progress"
+                )
+            v = version[s] + 1
+            version[s] = v
+            heappush(heap, (now + horizon, next(entry_ids), s, v))
+            count_solved += 1
         self.solver_time += perf_counter() - started
         self.resolves += count_solved
         self.fast_solves += count_solved
@@ -1812,7 +1604,6 @@ class FairShareModel:
 
         return {
             "partition": self._partition,
-            "vectorize": self._vectorize,
             "array": table is not None,
             "activities": act_records,
             "act_counter": next(Activity._counter),
@@ -1837,7 +1628,6 @@ class FairShareModel:
                 "peak_components": self.peak_components,
                 "fast_solves": self.fast_solves,
                 "scalar_solves": self.scalar_solves,
-                "vector_solves": self.vector_solves,
                 "slot_solves": self.slot_solves,
             },
         }
@@ -1851,7 +1641,7 @@ class FairShareModel:
         """Rebuild the model from :meth:`capture_state` output.
 
         The model must be freshly constructed with the captured engine
-        flags (``partition``/``vectorize``/``array_engine``); state is
+        flags (``partition``/``array_engine``); state is
         rebuilt by direct assignment, never by re-admission through
         :meth:`execute` (which would re-solve, re-count and re-schedule).
         Queued wake events are recreated here and claimed in ``registry``
@@ -1968,5 +1758,4 @@ class FairShareModel:
         self.peak_components = counters["peak_components"]
         self.fast_solves = counters["fast_solves"]
         self.scalar_solves = counters["scalar_solves"]
-        self.vector_solves = counters["vector_solves"]
         self.slot_solves = counters["slot_solves"]

@@ -1,11 +1,10 @@
 """Engine fast paths must not change simulation results.
 
-The compiled-expression pipeline, the vectorized max-min kernel, and the
-struct-of-arrays slot engine are pure performance features: a run's
-``Monitor.run_record()`` — the payload campaign fingerprints and the CI
-regression gate key on — must serialise byte-identically whichever
-combination of (compiled | interpreted expressions) x (scalar |
-vectorized | auto solver) x (array | object engine) is active, across
+The compiled-expression pipeline and the struct-of-arrays slot engine
+are pure performance features: a run's ``Monitor.run_record()`` — the
+payload campaign fingerprints and the CI regression gate key on — must
+serialise byte-identically whichever combination of (compiled |
+interpreted expressions) x (array | object engine) is active, across
 rigid, malleable, and evolving jobs, with the invariant checker on.
 """
 
@@ -13,7 +12,6 @@ import json
 
 import pytest
 
-import repro.sharing.model as sharing_model
 from repro import Simulation, platform_from_dict
 from repro.expressions import set_compiled_enabled
 from repro.sharing import array_engine_enabled, set_array_engine_enabled
@@ -25,19 +23,16 @@ PLATFORM_SPEC = {
     "pfs": {"read_bw": 1e11, "write_bw": 8e10},
 }
 
-#: (compiled expressions?, DEFAULT_VECTORIZE, array engine?) — None is
-#: the shipped auto-dispatch; the first entry is the reference
-#: configuration (everything on/default).
+#: (compiled expressions?, array engine?) — the first entry is the
+#: reference configuration (everything on/default).
 MODES = [
-    (True, None, True),
-    (True, None, False),
-    (True, False, True),
-    (True, True, False),
-    (False, False, False),
+    (True, True),
+    (True, False),
+    (False, False),
 ]
 
 
-def _run_record(compiled: bool, vectorize, array: bool, algorithm: str) -> str:
+def _run_record(compiled: bool, array: bool, algorithm: str) -> str:
     platform = platform_from_dict(PLATFORM_SPEC)
     jobs = generate_workload(
         WorkloadSpec(
@@ -47,7 +42,7 @@ def _run_record(compiled: bool, vectorize, array: bool, algorithm: str) -> str:
             mean_runtime=60.0,
             malleable_fraction=0.4,
             evolving_fraction=0.2,
-            comm_bytes=1e6,  # multi-activity components: exercises the vector kernel
+            comm_bytes=1e6,  # multi-activity components: exercises the scalar loop
             input_bytes_per_flop=1e-5,
             output_bytes_per_flop=1e-5,
             data_per_node=1e8,
@@ -55,8 +50,6 @@ def _run_record(compiled: bool, vectorize, array: bool, algorithm: str) -> str:
         seed=11,
     )
     set_compiled_enabled(compiled)
-    old_vectorize = sharing_model.DEFAULT_VECTORIZE
-    sharing_model.DEFAULT_VECTORIZE = vectorize
     old_array = array_engine_enabled()
     set_array_engine_enabled(array)
     try:
@@ -65,7 +58,6 @@ def _run_record(compiled: bool, vectorize, array: bool, algorithm: str) -> str:
         )
     finally:
         set_compiled_enabled(True)
-        sharing_model.DEFAULT_VECTORIZE = old_vectorize
         set_array_engine_enabled(old_array)
     return json.dumps(monitor.run_record(), sort_keys=True)
 
@@ -73,10 +65,10 @@ def _run_record(compiled: bool, vectorize, array: bool, algorithm: str) -> str:
 @pytest.mark.parametrize("algorithm", ["easy", "malleable"])
 def test_run_record_byte_identical_across_engine_modes(algorithm):
     reference = _run_record(*MODES[0], algorithm)
-    for compiled, vectorize, array in MODES[1:]:
-        assert _run_record(compiled, vectorize, array, algorithm) == reference, (
+    for compiled, array in MODES[1:]:
+        assert _run_record(compiled, array, algorithm) == reference, (
             f"run_record diverged for compiled={compiled} "
-            f"vectorize={vectorize} array={array} algorithm={algorithm}"
+            f"array={array} algorithm={algorithm}"
         )
 
 
@@ -90,21 +82,19 @@ def test_hybrid_preemption_and_energy_byte_identical_across_modes():
     reference = run_scenario_record(
         HYBRID_SPEC,
         compiled=MODES[0][0],
-        vectorize=MODES[0][1],
-        array=MODES[0][2],
+        array=MODES[0][1],
         check_invariants=True,
     )
     assert "energy" in reference
     reference_bytes = json.dumps(reference, sort_keys=True)
-    for compiled, vectorize, array in MODES[1:]:
+    for compiled, array in MODES[1:]:
         record = run_scenario_record(
             HYBRID_SPEC,
             compiled=compiled,
-            vectorize=vectorize,
             array=array,
             check_invariants=True,
         )
         assert json.dumps(record, sort_keys=True) == reference_bytes, (
             f"hybrid run_record diverged for compiled={compiled} "
-            f"vectorize={vectorize} array={array}"
+            f"array={array}"
         )

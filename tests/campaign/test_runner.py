@@ -77,37 +77,23 @@ class TestEnginePinning:
         base = run_scenario(make_scenario().as_record())
         for engine in (
             {"array_engine": False},
-            {"array_engine": True, "vectorize": True, "compiled": False},
+            {"array_engine": True, "compiled": False},
         ):
             pinned = run_scenario(make_scenario(engine=engine).as_record())
             assert pinned["status"] == "ok"
             assert result_fingerprint(pinned) == result_fingerprint(base)
 
     def test_pins_are_undone_after_an_in_process_run(self):
-        import repro.sharing.model as sharing_model
         from repro.expressions import compiled_enabled
         from repro.sharing import array_engine_enabled
 
-        before = (
-            compiled_enabled(),
-            sharing_model.DEFAULT_VECTORIZE,
-            array_engine_enabled(),
-        )
+        before = (compiled_enabled(), array_engine_enabled())
         run_scenario(
             make_scenario(
-                engine={
-                    "compiled": False,
-                    "vectorize": True,
-                    "array_engine": not before[2],
-                }
+                engine={"compiled": False, "array_engine": not before[1]}
             ).as_record()
         )
-        after = (
-            compiled_enabled(),
-            sharing_model.DEFAULT_VECTORIZE,
-            array_engine_enabled(),
-        )
-        assert after == before
+        assert (compiled_enabled(), array_engine_enabled()) == before
 
     def test_pinned_scenarios_have_distinct_cache_entries(self, tmp_path):
         cache = ResultCache(tmp_path)

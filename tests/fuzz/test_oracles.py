@@ -18,6 +18,8 @@ from repro.fuzz.oracles import (
     _first_diff,
     differential_oracle,
     invariant_oracle,
+    maxmin_oracle,
+    maxmin_violation,
     permute_jids_oracle,
     rigid_as_malleable_oracle,
     scale_scenario,
@@ -59,13 +61,24 @@ def scenario_dict(algorithm="easy", **sim):
     }
 
 
+@pytest.fixture()
+def halved_fast_path(monkeypatch):
+    """Sabotage the singleton fast path: halve every finite rate it sets."""
+    orig = sharing_model._solve_single
+
+    def broken(act):
+        orig(act)
+        if act.rate not in (0.0, float("inf")):
+            act.rate *= 0.5
+
+    monkeypatch.setattr(sharing_model, "_solve_single", broken)
+
+
 class TestRunScenarioRecord:
     def test_all_modes_produce_a_record(self):
         scenario = scenario_dict()
-        for compiled, vectorize, array in MODES:
-            record = run_scenario_record(
-                scenario, compiled=compiled, vectorize=vectorize, array=array
-            )
+        for compiled, array in MODES:
+            record = run_scenario_record(scenario, compiled=compiled, array=array)
             assert record["num_jobs"] == 2
             assert record["summary"]["completed_jobs"] == 2
 
@@ -74,10 +87,7 @@ class TestRunScenarioRecord:
         from repro.sharing import array_engine_enabled
 
         before_array = array_engine_enabled()
-        run_scenario_record(
-            scenario_dict(), compiled=False, vectorize=True, array=not before_array
-        )
-        assert sharing_model.DEFAULT_VECTORIZE is None
+        run_scenario_record(scenario_dict(), compiled=False, array=not before_array)
         assert compiled_enabled() is True
         assert array_engine_enabled() is before_array
 
@@ -93,21 +103,53 @@ class TestDifferentialOracle:
     def test_clean_engine_passes(self):
         assert differential_oracle(scenario_dict()) is None
 
-    def test_detects_kernel_divergence(self, monkeypatch):
-        # Sabotage the vector kernel outright: the oracle must notice.
-        orig = sharing_model._solve_vector
-
-        def broken(acts):
-            orig(acts)
-            for act in acts:
-                if act.rate not in (0.0, float("inf")):
-                    act.rate *= 0.5
-
-        monkeypatch.setattr(sharing_model, "_solve_vector", broken)
+    def test_detects_kernel_divergence(self, halved_fast_path):
+        # Only the object engine calls the singleton fast path (the array
+        # engine inlines its own copy for slots), so the first lane to
+        # diverge is array=False.
         failure = differential_oracle(scenario_dict())
         assert failure is not None
         assert failure.oracle == "differential"
-        assert "vectorize=True" in failure.detail
+        assert "array=False" in failure.detail
+
+
+class TestMaxMinOracle:
+    def test_clean_engine_passes(self):
+        assert maxmin_oracle(scenario_dict()) is None
+
+    def test_wrapper_is_restored(self):
+        solve = sharing_model.solve_max_min
+        maxmin_oracle(scenario_dict())
+        assert sharing_model.solve_max_min is solve
+
+    def test_detects_misallocation(self, halved_fast_path):
+        # Halved rates stay feasible but leave every resource
+        # unsaturated: no activity has a bottleneck.
+        failure = maxmin_oracle(scenario_dict())
+        assert failure is not None
+        assert failure.oracle == "maxmin"
+        assert "no bottleneck" in failure.detail
+
+    def test_certificate_on_hand_solved_components(self):
+        from repro.sharing import Activity, SharedResource
+
+        link = SharedResource("link", 10.0)
+        nic = SharedResource("nic", 4.0)
+        a = Activity(1.0, {link: 1.0})
+        b = Activity(1.0, {link: 1.0, nic: 1.0})
+        c = Activity(1.0, {}, bound=3.0)
+        # b is bottlenecked on the NIC at 4; a takes the rest of the link.
+        a.rate, b.rate, c.rate = 6.0, 4.0, 3.0
+        assert maxmin_violation([a, b, c]) is None
+        # Fair split of the link ignores the NIC: overloaded.
+        a.rate, b.rate = 5.0, 5.0
+        assert "nic overloaded" in maxmin_violation([a, b, c])
+        # Feasible but a could grow into the link's slack.
+        a.rate, b.rate = 5.0, 4.0
+        assert "no bottleneck" in maxmin_violation([a, b, c])
+        # Below its bound with no resources: nothing holds c back.
+        a.rate, b.rate, c.rate = 6.0, 4.0, 2.0
+        assert "no bottleneck" in maxmin_violation([a, b, c])
 
 
 class TestInvariantOracle:

@@ -1,16 +1,18 @@
 """Acceptance: the fuzzer catches a deliberately injected solver bug.
 
-The mutation loosens the max-min kernel's saturation *tie* tolerance from
-1e-12 (relative, i.e. "equal up to float drift") to 1e-2: resources that
-are merely *near* the limiting ratio get frozen together with it, robbing
-their users of their last slice of bandwidth.  This is the classic class
-of tie-breaking bug the differential oracle exists for — the scalar
-kernel still resolves such near-ties exactly, so the two engines diverge
-on any scenario where a second resource sits within 1% of saturation at
-a freeze round.
+The mutation loosens the max-min loop's saturation tolerance from 1e-12
+(relative, i.e. "saturated up to float drift") to 1e-1: resources with
+up to 10% of their capacity left count as saturated and freeze their
+users, robbing them of their last slice of bandwidth.
+
+Every engine mode shares the one progressive-filling loop, so the
+differential oracle compares the mutant with itself and stays silent
+(asserted on the caught scenario below).  The ``maxmin`` oracle certifies
+each solve independently — loads against capacities, and a bottleneck
+for every activity below its bound — and is what flags it.
 
 The test requires the whole kill chain to work: a bounded seed search
-finds a triggering scenario, the differential oracle reports it, and the
+finds a triggering scenario, the full oracle stack reports it, and the
 shrinker reduces it to a minimal reproducer (<= 3 jobs on <= 8 nodes)
 that still fails under the mutant and passes on the clean engine.
 """
@@ -26,45 +28,47 @@ from repro.fuzz.runner import FuzzFailure
 #: The exact source line being mutated; if the kernel changes shape, this
 #: assertion failing is the signal to re-derive the mutation, not to
 #: delete the test.
-TIE_TOLERANCE_LINE = "sat_tol = np.maximum(1e-12, 1e-12 * caps_arr)"
-MUTATED_LINE = "sat_tol = np.maximum(1e-12, 1e-1 * caps_arr)"
+SATURATION_LINE = "if users[res] and cap <= max(1e-12, 1e-12 * res.capacity):"
+MUTATED_LINE = "if users[res] and cap <= max(1e-12, 1e-1 * res.capacity):"
 
 SEED_SEARCH_BOUND = 50
 
 
 @pytest.fixture()
-def mutated_vector_kernel(monkeypatch):
-    source = inspect.getsource(sharing_model._solve_vector)
-    assert TIE_TOLERANCE_LINE in source, (
+def mutated_scalar_kernel(monkeypatch):
+    source = inspect.getsource(sharing_model._solve_scalar)
+    assert SATURATION_LINE in source, (
         "max-min kernel changed; update the injected mutation"
     )
     namespace = dict(vars(sharing_model))
     exec(  # noqa: S102 - building the mutant from audited source
-        compile(source.replace(TIE_TOLERANCE_LINE, MUTATED_LINE),
+        compile(source.replace(SATURATION_LINE, MUTATED_LINE),
                 "<mutant>", "exec"),
         namespace,
     )
     monkeypatch.setattr(
-        sharing_model, "_solve_vector", namespace["_solve_vector"]
+        sharing_model, "_solve_scalar", namespace["_solve_scalar"]
     )
 
 
 def _find_caught_case():
     for seed in range(SEED_SEARCH_BOUND):
         scenario = generate_scenario(seed)
-        failures = check_scenario(scenario, ["differential"])
+        failures = check_scenario(scenario)
         if failures:
             return scenario, failures
     return None, None
 
 
-def test_differential_oracle_catches_and_shrinks_mutant(mutated_vector_kernel):
+def test_oracle_stack_catches_and_shrinks_mutant(mutated_scalar_kernel):
     scenario, failures = _find_caught_case()
     assert scenario is not None, (
-        f"mutant survived {SEED_SEARCH_BOUND} fuzz seeds — the differential "
-        "oracle lost its teeth"
+        f"mutant survived {SEED_SEARCH_BOUND} fuzz seeds — the oracle "
+        "stack lost its teeth"
     )
-    assert failures[0].oracle == "differential"
+    assert [f.oracle for f in failures] == ["maxmin"]
+    # Every lane runs the mutant: the differential oracle cannot see it.
+    assert check_scenario(scenario, ["differential"]) == []
 
     small, evals = shrink_failure(
         FuzzFailure(
@@ -80,10 +84,7 @@ def test_differential_oracle_catches_and_shrinks_mutant(mutated_vector_kernel):
         f"reproducer kept {small['platform']['nodes']['count']} nodes"
     )
     # Still a reproducer under the mutant...
-    assert any(
-        f.oracle == "differential"
-        for f in check_scenario(small, ["differential"])
-    )
+    assert any(f.oracle == "maxmin" for f in check_scenario(small, ["maxmin"]))
 
 
 def test_clean_engine_passes_what_the_mutant_fails():
@@ -91,4 +92,5 @@ def test_clean_engine_passes_what_the_mutant_fails():
     # smoke sweep covers breadth; this pins the specific seeds the
     # mutation test leans on).
     for seed in range(10):
-        assert check_scenario(generate_scenario(seed), ["differential"]) == []
+        scenario = generate_scenario(seed)
+        assert check_scenario(scenario, ["differential", "maxmin"]) == []
