@@ -7,8 +7,9 @@ with hundreds of jobs simulate in seconds on a laptop.
 
 Besides the printed table, the run emits ``BENCH_E5.json`` (see
 ``common.write_bench_json``) with per-configuration event counts, solver
-re-solve counts, and the incremental solver's scope counters, so the perf
-trajectory is tracked across PRs.
+re-solve counts, the incremental solver's scope counters and the slot
+engine's row solves (``slot_rows``: one per task fan-out solved as one
+slot-table row), so the perf trajectory is tracked across PRs.
 """
 
 import time
@@ -46,10 +47,11 @@ def _simulate(num_jobs: int, num_nodes: int):
         model.solved_activities,
         model.peak_components,
         model.solver_time,
+        model.slot_rows,
     )
 
 
-def _record(label, wall, events, invocations, resolves, scope, peak, solver_time):
+def _record(label, wall, events, invocations, resolves, scope, peak, solver_time, rows):
     _rows.append(
         [
             label,
@@ -64,6 +66,7 @@ def _record(label, wall, events, invocations, resolves, scope, peak, solver_time
             # Process high-water mark at the time this row finished; rows
             # run smallest-first, so the last row's value bounds the run.
             peak_rss_mb(),
+            rows,
         ]
     )
 
@@ -120,6 +123,7 @@ _HEADER = [
     "peak_components",
     "solver_time_s",
     "peak_rss_mb",
+    "slot_rows",
 ]
 
 

@@ -55,6 +55,12 @@ class SolverStats:
         slot engine (see ``set_array_engine_enabled``).  Like the kernel
         dispatch counts, this depends on the engine switch and stays out of
         ``Monitor.run_record()``.
+    slot_rows:
+        Slot-table row solves: the horizon-heap pushes the slot engine
+        made.  A row holds the members of a task fan-out that evolve
+        bit-identically and is solved once for all of them, so
+        ``slot_solves / slot_rows`` is the mean row size.  Work done, not a
+        result: it stays out of ``Monitor.run_record()``.
     connectivity_checks / connectivity_visits:
         Removals whose component needed a connectivity decision (a
         multi-resource activity leaving a component that keeps members),
@@ -80,6 +86,7 @@ class SolverStats:
     fast_solves: int = 0
     scalar_solves: int = 0
     slot_solves: int = 0
+    slot_rows: int = 0
     connectivity_checks: int = 0
     connectivity_visits: int = 0
     floodfill_calls: int = 0
@@ -108,6 +115,7 @@ class SolverStats:
             fast_solves=getattr(model, "fast_solves", 0),
             scalar_solves=getattr(model, "scalar_solves", 0),
             slot_solves=getattr(model, "slot_solves", 0),
+            slot_rows=getattr(model, "slot_rows", 0),
             connectivity_checks=getattr(model, "connectivity_checks", 0),
             connectivity_visits=getattr(model, "connectivity_visits", 0),
             floodfill_calls=getattr(model, "floodfill_calls", 0),
@@ -130,6 +138,7 @@ class SolverStats:
             "fast_solves": self.fast_solves,
             "scalar_solves": self.scalar_solves,
             "slot_solves": self.slot_solves,
+            "slot_rows": self.slot_rows,
             "connectivity_checks": self.connectivity_checks,
             "connectivity_visits": self.connectivity_visits,
             "floodfill_calls": self.floodfill_calls,

@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 from heapq import heapify, heappop, heappush
 from itertools import count
+from operator import attrgetter
 from math import inf
 from time import perf_counter
 from typing import Any, Dict, Iterable, List, Optional
@@ -38,6 +39,9 @@ from repro.des.events import Event, PooledEvent, URGENT
 
 #: Relative slack used when deciding that remaining work hit zero.
 _FINISH_TOL = 1e-9
+
+#: Sort key pinning processing order to activity creation order.
+_by_seq = attrgetter("_seq")
 
 #: Process-wide default for the struct-of-arrays "slot" engine (see
 #: :class:`_SlotTable`).  On by default; ``ELASTISIM_ARRAY_ENGINE=0`` in
@@ -239,7 +243,7 @@ def solve_max_min(activities: Iterable[Activity]) -> str:
     if len(acts) == 1:  # dominant case: skip the sort machinery entirely
         _solve_single(acts[0])
         return "fast"
-    acts.sort(key=lambda a: a._seq)
+    acts.sort(key=_by_seq)
     _solve_scalar(acts)
     return "scalar"
 
@@ -301,19 +305,23 @@ def _solve_scalar(acts: List[Activity]) -> None:
     if not unfrozen:
         return
 
-    # Residual capacity, per-resource weighted demand, and user index —
-    # demand is maintained incrementally as activities freeze, which keeps
-    # the whole solve at O(edges + iterations x resources) instead of
-    # re-summing every resource's users each round.
+    # Residual capacity, per-resource weighted demand, user index and
+    # saturation tolerance — demand is maintained incrementally as
+    # activities freeze, which keeps the whole solve at O(edges +
+    # iterations x resources) instead of re-summing every resource's users
+    # each round.  A resource whose last user froze leaves all four dicts:
+    # no later round reads it.
     residual: Dict[SharedResource, float] = {}
     demand: Dict[SharedResource, float] = {}
     users: Dict[SharedResource, Dict[Activity, None]] = {}
+    tol: Dict[SharedResource, float] = {}
     for act in unfrozen:
         for res, factor in act.usages.items():
             if res not in residual:
                 residual[res] = res.capacity
                 demand[res] = 0.0
                 users[res] = {}
+                tol[res] = max(1e-12, 1e-12 * res.capacity)
             demand[res] += factor * act.weight
             users[res][act] = None
 
@@ -330,8 +338,6 @@ def _solve_scalar(acts: List[Activity]) -> None:
         limiting_res: SharedResource | None = None
         limiting_act: Activity | None = None
         for res, cap in residual.items():
-            if not users[res]:
-                continue  # stale float residue in demand must not gate theta
             d = demand[res]
             if d > 1e-15:
                 ratio = cap / d
@@ -361,7 +367,7 @@ def _solve_scalar(acts: List[Activity]) -> None:
         # Freeze activities on saturated resources or at their bound.
         frozen: Dict[Activity, None] = {}
         for res, cap in residual.items():
-            if users[res] and cap <= max(1e-12, 1e-12 * res.capacity):
+            if cap <= tol[res]:
                 residual[res] = 0.0
                 frozen.update(users[res])
         for act in bounded:
@@ -370,24 +376,27 @@ def _solve_scalar(acts: List[Activity]) -> None:
                 frozen[act] = None
         # Guarantee progress: the entity that determined theta is saturated
         # by construction, even when float drift hides it from the checks.
-        if limiting_res is not None and users[limiting_res]:
+        if limiting_res is not None:
             frozen.update(users[limiting_res])
             residual[limiting_res] = 0.0
         if limiting_act is not None:
             limiting_act.rate = limiting_act.bound
             frozen[limiting_act] = None
 
-        if not frozen:  # pragma: no cover - defensive; cannot happen now
-            frozen = dict(unfrozen)
+        # Every frozen activity was unfrozen, so a round that freezes as
+        # many as remain freezes them all and the bookkeeping below would
+        # go unread (an empty ``frozen`` cannot happen; defensive).
+        if len(frozen) == len(unfrozen) or not frozen:
+            return
 
         for act in frozen:
-            if act not in unfrozen:
-                continue
             for res, factor in act.usages.items():
-                del users[res][act]
-                demand[res] -= factor * act.weight
-                if not users[res]:
-                    demand[res] = 0.0  # drop cancellation residue
+                res_users = users[res]
+                del res_users[act]
+                if res_users:
+                    demand[res] -= factor * act.weight
+                else:
+                    del residual[res], demand[res], users[res], tol[res]
             del unfrozen[act]
             bounded.pop(act, None)
 
@@ -423,23 +432,34 @@ class _SlotTable:
     reference workloads this is the dominant case by far (E5: 100% of
     solves are singletons), and each one pays for a ``Component`` object, a
     per-component dict walk, and attribute chasing per solve.  The slot
-    table strips that to parallel Python lists indexed by an integer slot:
-    one row per live simple activity and scalar reads/writes on hot paths
-    (plain lists beat numpy arrays for this traffic: an indexed numpy
-    scalar write costs ~3x a list store).
+    table strips that to parallel Python lists indexed by an integer row
+    and scalar reads/writes on hot paths (plain lists beat numpy arrays for
+    this traffic: an indexed numpy scalar write costs ~3x a list store).
 
-    The table is an engine-internal mirror: ``Activity.rate`` and
-    ``Activity.remaining`` are written back at exactly the observation
-    points the object engine writes them (solve, integrate), so external
-    behaviour — including ``run_record`` — is byte-identical.  A slot's
-    ``version`` is bumped on every solve *and* on free, so horizon-heap
-    entries referencing a recycled slot lazily invalidate, exactly like
-    ``Component.version``.  ``cid`` holds the component id the slot
-    consumed from the model's id counter, keeping id sequences (and thus
-    split/merge determinism) identical across engines; promotion to a real
-    ``Component`` reuses it.
+    A *row* holds k members that evolve bit-identically: a task fan-out
+    admits one activity per node with the same capacity, factor, weight,
+    bound, work and remaining work, so their rates, horizons, integrated
+    remaining work and finish checks are the same floats.  A row therefore
+    shares ``rate0``/``thresh``/``remaining``/``last``/``version`` and costs
+    one horizon division, one heap push, one integration and one finish
+    check per solve or wake, whatever k is.  Each member is still its own
+    singleton component: it keeps its own ``done`` event and the component
+    id it reserved from the model's id counter (``cid``, parallel to
+    ``act``/``res``), keeping id sequences (and thus split/merge
+    determinism) identical across engines; promotion to a real
+    ``Component`` reuses it.  A member that leaves early (cancel,
+    promotion) is first detached into a one-member row with copies of the
+    row's floats, so the rest of the row keeps its heap entry.
 
-    A slot's max-min rate depends only on quantities that are immutable
+    The table is an engine-internal mirror: every member's
+    ``Activity.rate`` and ``Activity.remaining`` are written back at
+    exactly the observation points the object engine writes them (solve,
+    integrate), so external behaviour — including ``run_record`` — is
+    byte-identical.  A row's ``version`` is bumped on every solve *and* on
+    free, so horizon-heap entries referencing a recycled row lazily
+    invalidate, exactly like ``Component.version``.
+
+    A member's max-min rate depends only on quantities that are immutable
     after ``execute`` (resource capacity, usage factor, weight, bound), so
     it is solved once at admission — the same float operations as
     :func:`_solve_single`, hence the same bits — and every re-solve
@@ -451,19 +471,22 @@ class _SlotTable:
     __slots__ = (
         "act",
         "res",
+        "cid",
         "rate0",
         "thresh",
         "remaining",
         "last",
         "version",
-        "cid",
         "free",
         "live",
     )
 
     def __init__(self) -> None:
-        self.act: List[Optional[Activity]] = []
-        self.res: List[Optional[SharedResource]] = []
+        #: Per row: its members, their resources and reserved component
+        #: ids (parallel lists); ``None`` for a free row.
+        self.act: List[Optional[List[Activity]]] = []
+        self.res: List[Optional[List[SharedResource]]] = []
+        self.cid: List[Optional[List[int]]] = []
         #: Precomputed solved rate (bit-identical to ``_solve_single``).
         self.rate0: List[float] = []
         #: Precomputed finish threshold ``_FINISH_TOL * (1 + work)``.
@@ -471,11 +494,35 @@ class _SlotTable:
         self.remaining: List[float] = []
         self.last: List[float] = []
         self.version: List[int] = []
-        self.cid: List[int] = []
-        #: Recycled slot indices (stack).
+        #: Recycled row indices (stack).
         self.free: List[int] = []
-        #: Number of occupied slots.
+        #: Number of occupied rows (members: ``len(model._slot_of)``).
         self.live: int = 0
+
+
+def _slot_rate(cap: float, factor: float, w: float, bound: float) -> float:
+    """A simple activity's max-min rate: :func:`_solve_single`'s float
+    operations for one usage, hence the same bits."""
+    theta = inf
+    d = factor * w
+    if d > 1e-15:
+        theta = cap / d
+    limited = False
+    if bound < inf:
+        ratio = (bound - 0.0) / w
+        if ratio < theta:
+            theta = ratio
+            limited = True
+    if theta == inf:
+        return inf
+    rate = 0.0
+    if theta > 0:
+        rate = 0.0 + theta * w
+    if bound < inf and rate >= bound * (1 - 1e-12):
+        rate = bound
+    if limited:
+        rate = bound
+    return rate
 
 
 class FairShareModel:
@@ -539,11 +586,11 @@ class FairShareModel:
         self._array: Optional[_SlotTable] = (
             _SlotTable() if (use_array and partition) else None
         )
-        #: activity → slot index (array engine's running-activity registry).
+        #: activity → row index (array engine's running-activity registry).
         self._slot_of: Dict[Activity, int] = {}
-        #: resource → slot index of its sole (simple) user.
+        #: resource → row index of its sole (simple) user.
         self._res_slot: Dict[SharedResource, int] = {}
-        #: slot indices awaiting a re-solve at the current instant.
+        #: row indices awaiting a re-solve at the current instant.
         self._dirty_slots: Dict[int, None] = {}
         #: activity → owning component (also the running-activity registry).
         self._comp_of: Dict[Activity, Component] = {}
@@ -597,6 +644,9 @@ class FairShareModel:
         #: Solves served by the struct-of-arrays slot engine (a subset of
         #: ``fast_solves``: every slot solve is a singleton solve).
         self.slot_solves: int = 0
+        #: Slot-table row solves, i.e. the horizon-heap pushes made by the
+        #: slot path; a row solves all its members at once.
+        self.slot_rows: int = 0
         #: Optional flight recorder (see :mod:`repro.tracing`); attached by
         #: ``Simulation.run(trace=...)``.  Guarded per flush, so the
         #: disabled path costs one ``is None`` check per solve event.
@@ -614,8 +664,7 @@ class FairShareModel:
     @property
     def component_count(self) -> int:
         """Number of live connected components (slot rows included)."""
-        table = self._array
-        return len(self._components) + (table.live if table is not None else 0)
+        return len(self._components) + len(self._slot_of)
 
     def component_sizes(self) -> List[int]:
         """Sizes of the live components, in component-creation order.
@@ -628,7 +677,9 @@ class FairShareModel:
         table = self._array
         assert table is not None
         entries = [(comp.id, len(comp.acts)) for comp in self._components]
-        entries.extend((table.cid[s], 1) for s in self._slot_of.values())
+        entries.extend(
+            (cid, 1) for cids in table.cid if cids is not None for cid in cids
+        )
         entries.sort()
         return [size for _, size in entries]
 
@@ -683,12 +734,14 @@ class FairShareModel:
 
         Semantically a loop over :meth:`execute`.  With the array engine
         on, slot-eligible activities take a fused bulk path: the guard
-        checks, admission bookkeeping and rate precompute run with every
-        table column and dict hoisted to locals, and the re-solve request
-        is coalesced to one call for the whole batch (the object engine's
-        per-activity requests collapse to the same single URGENT event, so
-        the event stream is unchanged).  Anything not slot-eligible falls
-        back to :meth:`execute` mid-batch with identical semantics.
+        checks and admission bookkeeping run with the model's dicts hoisted
+        to locals, and the re-solve request is coalesced to one call for
+        the whole batch (the object engine's per-activity requests collapse
+        to the same single URGENT event, so the event stream is unchanged).
+        An activity whose rate inputs, work and remaining work equal those
+        of the row this call opened last joins that row (see
+        :class:`_SlotTable`).  Anything not slot-eligible falls back to
+        :meth:`execute` mid-batch with identical semantics.
         """
         table = self._array
         if table is None:
@@ -702,15 +755,6 @@ class FairShareModel:
         slot_of = self._slot_of
         dirty_slots = self._dirty_slots
         comp_ids = self._comp_ids
-        free_stack = table.free
-        t_act = table.act
-        t_res = table.res
-        t_rate0 = table.rate0
-        t_thresh = table.thresh
-        t_rem = table.remaining
-        t_last = table.last
-        t_version = table.version
-        t_cid = table.cid
         added = False
         # One-entry rate memo: a task fan-out admits N activities with
         # identical (capacity, factor, weight, bound), so the precompute
@@ -721,6 +765,13 @@ class FairShareModel:
         m_w: Any = None
         m_bound: Any = None
         m_rate = 0.0
+        # The row opened last and the work/remaining its members share;
+        # ``row_acts is None`` once a fallback may have touched the table.
+        row = 0
+        row_acts: Optional[List[Activity]] = None
+        row_res: List[SharedResource] = []
+        row_cid: List[int] = []
+        row_work = row_rem = 0.0
         for activity in activities:
             usages = activity.usages
             if (
@@ -728,13 +779,15 @@ class FairShareModel:
                 or activity.done is not None
                 or len(usages) != 1
             ):
-                self._batch_peak(table)
+                self._batch_peak()
                 self.execute(activity)
+                row_acts = None
                 continue
             ((res, factor),) = usages.items()
             if res in res_users or res in res_slot:
-                self._batch_peak(table)
+                self._batch_peak()
                 self.execute(activity)
+                row_acts = None
                 continue
             activity.done = Event(env)
             activity.started_at = now
@@ -746,66 +799,44 @@ class FairShareModel:
             if cap <= 0:  # defensive; constructor forbids it
                 raise ValueError(f"Cannot execute on zero-capacity {res!r}")
             activity._model = self
-            # Inlined _add_slot: same float ops, columns hoisted.
             w = activity.weight
             bound = activity.bound
             if cap == m_cap and factor == m_factor and w == m_w and bound == m_bound:
+                if (
+                    row_acts is not None
+                    and activity.work == row_work
+                    and activity.remaining == row_rem
+                ):
+                    row_acts.append(activity)
+                    row_res.append(res)
+                    row_cid.append(next(comp_ids))
+                    slot_of[activity] = row
+                    res_slot[res] = row
+                    continue
                 rate = m_rate
             else:
-                theta = inf
-                d = factor * w
-                if d > 1e-15:
-                    theta = cap / d
-                limited = False
-                if bound < inf:
-                    ratio = (bound - 0.0) / w
-                    if ratio < theta:
-                        theta = ratio
-                        limited = True
-                if theta == inf:
-                    rate = inf
-                else:
-                    rate = 0.0
-                    if theta > 0:
-                        rate = 0.0 + theta * w
-                    if bound < inf and rate >= bound * (1 - 1e-12):
-                        rate = bound
-                    if limited:
-                        rate = bound
+                rate = _slot_rate(cap, factor, w, bound)
                 m_cap = cap
                 m_factor = factor
                 m_w = w
                 m_bound = bound
                 m_rate = rate
-            if free_stack:
-                s = free_stack.pop()
-                t_act[s] = activity
-                t_res[s] = res
-                t_rate0[s] = rate
-                t_thresh[s] = _FINISH_TOL * (1 + activity.work)
-                t_rem[s] = activity.remaining
-                t_last[s] = now
-                t_cid[s] = next(comp_ids)
-            else:
-                s = len(t_act)
-                t_act.append(activity)
-                t_res.append(res)
-                t_rate0.append(rate)
-                t_thresh.append(_FINISH_TOL * (1 + activity.work))
-                t_rem.append(activity.remaining)
-                t_last.append(now)
-                t_version.append(0)
-                t_cid.append(next(comp_ids))
-            table.live += 1
-            slot_of[activity] = s
-            res_slot[res] = s
-            dirty_slots[s] = None
+            row_work = activity.work
+            row_rem = activity.remaining
+            row = self._new_row(
+                activity, res, next(comp_ids), rate,
+                _FINISH_TOL * (1 + row_work), row_rem, now,
+            )
+            row_acts = table.act[row]
+            row_res = table.res[row]  # type: ignore[assignment]
+            row_cid = table.cid[row]  # type: ignore[assignment]
+            dirty_slots[row] = None
             added = True
-        self._batch_peak(table)
+        self._batch_peak()
         if added:
             self._request_resolve()
 
-    def _batch_peak(self, table: "_SlotTable") -> None:
+    def _batch_peak(self) -> None:
         """Fold a run of slot admissions into the peak-components counter.
 
         Within a run of consecutive slot adds the total only grows, so
@@ -813,7 +844,7 @@ class FairShareModel:
         :meth:`execute` mid-batch can merge components (shrinking the
         total), so the check must also run right before each fallback.
         """
-        total = len(self._components) + table.live
+        total = len(self._components) + len(self._slot_of)
         if total > self.peak_components:
             self.peak_components = total
 
@@ -827,6 +858,7 @@ class FairShareModel:
             return
         slot = self._slot_of.get(activity)
         if slot is not None:
+            slot = self._detach(slot, self._array.act[slot].index(activity))  # type: ignore[union-attr]
             self._integrate_slot(slot)
             self._free_slot(slot)
         else:
@@ -851,8 +883,9 @@ class FairShareModel:
         for comp in self._components:
             self._integrate(comp)
         if self._slot_of:
-            for slot in self._slot_of.values():
-                self._integrate_slot(slot)
+            for slot, members in enumerate(self._array.act):  # type: ignore[union-attr]
+                if members is not None:
+                    self._integrate_slot(slot)
 
     # -- component maintenance --------------------------------------------
 
@@ -866,7 +899,8 @@ class FairShareModel:
             for res in activity.usages:
                 slot = self._res_slot.get(res)
                 if slot is not None:
-                    self._promote_slot(slot)
+                    row_res = self._array.res[slot]  # type: ignore[union-attr]
+                    self._promote_slot(self._detach(slot, row_res.index(res)))
         involved: List[Component] = []
         if self._partition:
             seen: set[int] = set()
@@ -1030,84 +1064,108 @@ class FairShareModel:
     def _add_slot(self, activity: Activity, res: SharedResource, factor: float) -> None:
         """Register a simple activity in the slot table (array engine).
 
-        Solves the slot's rate immediately — the inputs are immutable, so
-        this replays :func:`_solve_single`'s float operations once and the
-        per-resolve work shrinks to a horizon division.  ``Activity.rate``
-        is *not* written here: the object engine only writes it at solve
-        flushes, and the first flush happens at this same instant anyway.
+        Solves the activity's rate immediately — the inputs are immutable,
+        so this replays :func:`_solve_single`'s float operations once and
+        the per-resolve work shrinks to a horizon division.
+        ``Activity.rate`` is *not* written here: the object engine only
+        writes it at solve flushes, and the first flush happens at this
+        same instant anyway.
         """
-        w = activity.weight
-        theta = inf
-        d = factor * w
-        if d > 1e-15:
-            theta = res.capacity / d
-        bound = activity.bound
-        limited = False
-        if bound < inf:
-            ratio = (bound - 0.0) / w
-            if ratio < theta:
-                theta = ratio
-                limited = True
-        if theta == inf:
-            rate = inf
-        else:
-            rate = 0.0
-            if theta > 0:
-                rate = 0.0 + theta * w
-            if bound < inf and rate >= bound * (1 - 1e-12):
-                rate = bound
-            if limited:
-                rate = bound
-        thresh = _FINISH_TOL * (1 + activity.work)
+        rate = _slot_rate(res.capacity, factor, activity.weight, activity.bound)
+        s = self._new_row(
+            activity, res, next(self._comp_ids), rate,
+            _FINISH_TOL * (1 + activity.work), activity.remaining, self.env.now,
+        )
+        self._dirty_slots[s] = None
+        self._batch_peak()
 
+    def _new_row(
+        self,
+        activity: Activity,
+        res: SharedResource,
+        cid: int,
+        rate: float,
+        thresh: float,
+        remaining: float,
+        last: float,
+    ) -> int:
+        """Open a one-member row holding ``activity``; returns its index.
+
+        The caller decides whether the row is dirty.
+        """
         table = self._array
         assert table is not None
         if table.free:
             s = table.free.pop()
-            table.act[s] = activity
-            table.res[s] = res
+            table.act[s] = [activity]
+            table.res[s] = [res]
+            table.cid[s] = [cid]
             table.rate0[s] = rate
             table.thresh[s] = thresh
-            table.remaining[s] = activity.remaining
-            table.last[s] = self.env.now
-            table.cid[s] = next(self._comp_ids)
+            table.remaining[s] = remaining
+            table.last[s] = last
         else:
             s = len(table.act)
-            table.act.append(activity)
-            table.res.append(res)
+            table.act.append([activity])
+            table.res.append([res])
+            table.cid.append([cid])
             table.rate0.append(rate)
             table.thresh.append(thresh)
-            table.remaining.append(activity.remaining)
-            table.last.append(self.env.now)
+            table.remaining.append(remaining)
+            table.last.append(last)
             table.version.append(0)
-            table.cid.append(next(self._comp_ids))
         table.live += 1
         self._slot_of[activity] = s
         self._res_slot[res] = s
-        self._dirty_slots[s] = None
-        total = len(self._components) + table.live
-        if total > self.peak_components:
-            self.peak_components = total
+        return s
 
-    def _free_slot(self, s: int) -> None:
-        """Release a slot; bump its version so heap entries lazily die."""
+    def _detach(self, s: int, i: int) -> int:
+        """Move member ``i`` of row ``s`` into a one-member row of its own.
+
+        The new row copies the row's floats and dirty mark; it has no heap
+        entry, so its caller must free or promote it at once.  The rest of
+        the row keeps its heap entry.  A one-member row is returned as is.
+        """
         table = self._array
         assert table is not None
-        act = table.act[s]
-        del self._slot_of[act]  # type: ignore[index]
-        del self._res_slot[table.res[s]]  # type: ignore[index]
+        members = table.act[s]
+        assert members is not None
+        if len(members) == 1:
+            return s
+        act = members.pop(i)
+        res = table.res[s].pop(i)  # type: ignore[union-attr]
+        cid = table.cid[s].pop(i)  # type: ignore[union-attr]
+        new = self._new_row(
+            act, res, cid, table.rate0[s], table.thresh[s],
+            table.remaining[s], table.last[s],
+        )
+        if s in self._dirty_slots:
+            self._dirty_slots[new] = None
+        return new
+
+    def _free_slot(self, s: int) -> None:
+        """Release a row; bump its version so heap entries lazily die."""
+        table = self._array
+        assert table is not None
+        slot_of = self._slot_of
+        for act in table.act[s]:  # type: ignore[union-attr]
+            del slot_of[act]
+        res_slot = self._res_slot
+        for res in table.res[s]:  # type: ignore[union-attr]
+            del res_slot[res]
         table.act[s] = None
         table.res[s] = None
+        table.cid[s] = None
         table.version[s] += 1
         table.live -= 1
         table.free.append(s)
         self._dirty_slots.pop(s, None)
 
     def _promote_slot(self, s: int) -> None:
-        """Turn a slot into a real singleton ``Component`` (same id).
+        """Turn a one-member row into a real singleton ``Component`` (same id).
 
-        Happens when a second activity arrives on the slot's resource: the
-        activity is no longer "simple", so it rejoins the object engine.
+        Happens when a second activity arrives on the member's resource:
+        the activity is no longer "simple", so it rejoins the object engine.
         Integration runs first, so the component's ``last_update`` and the
         activity's ``remaining`` match what the object engine would hold.
         ``Activity.rate`` is left alone: both engines last wrote it at the
@@ -1116,10 +1174,8 @@ class FairShareModel:
         table = self._array
         assert table is not None
         self._integrate_slot(s)
-        act = table.act[s]
-        res = table.res[s]
-        assert act is not None and res is not None
-        comp = Component(table.cid[s], table.last[s])
+        ((act,), (res,), (cid,)) = table.act[s], table.res[s], table.cid[s]  # type: ignore[misc]
+        comp = Component(cid, table.last[s])
         comp.acts[act] = None
         self._components[comp] = None
         self._comp_of[act] = comp
@@ -1130,10 +1186,10 @@ class FairShareModel:
             self._dirty[comp] = None
 
     def _integrate_slot(self, s: int) -> None:
-        """Integrate one slot's remaining work up to the current time.
+        """Integrate one row's remaining work up to the current time.
 
         Uses the precomputed ``rate0``: time cannot advance between a
-        slot's admission and its first solve flush (the resolve event fires
+        row's admission and its first solve flush (the resolve event fires
         URGENT at the same instant), so whenever ``dt > 0`` the applied
         rate equals the precomputed one.
         """
@@ -1141,17 +1197,17 @@ class FairShareModel:
         assert table is not None
         now = self.env.now
         dt = now - table.last[s]
-        if dt > 0:
-            rate = table.rate0[s]
+        rate = table.rate0[s]
+        if dt > 0 and rate > 0:
             if rate == inf:
-                table.remaining[s] = 0.0
-                table.act[s].remaining = 0.0  # type: ignore[union-attr]
-            elif rate > 0:
+                rem = 0.0
+            else:
                 rem = table.remaining[s] - rate * dt
                 if rem < 0.0:
                     rem = 0.0
-                table.remaining[s] = rem
-                table.act[s].remaining = rem  # type: ignore[union-attr]
+            table.remaining[s] = rem
+            for act in table.act[s]:  # type: ignore[union-attr]
+                act.remaining = rem
         table.last[s] = now
 
     # -- lazy progress ------------------------------------------------------
@@ -1258,13 +1314,14 @@ class FairShareModel:
         self._arm_wake()
 
     def _solve_slots(self, slots: List[int], now: float) -> int:
-        """Re-solve every dirty slot; returns how many were solved.
+        """Re-solve every dirty row; returns how many activities were solved.
 
         Rates were precomputed at admission (:meth:`_add_slot`), so a
         re-solve reduces to the batched completion-horizon recomputation:
-        per slot, one finished check and one ``remaining / rate`` division,
+        per row, one finished check and one ``remaining / rate`` division,
         then a horizon-heap push — the same float operations (hence bits)
-        as the object engine's per-component ``_flush`` loop.
+        as the object engine's per-component ``_flush`` loop runs for each
+        member — and a ``rate`` write-back to every member.
         """
         table = self._array
         assert table is not None
@@ -1277,12 +1334,14 @@ class FairShareModel:
         thresh = table.thresh
         version = table.version
         count_solved = 0
+        rows = 0
         for s in slots:
-            act = acts[s]
-            if act is None:
+            members = acts[s]
+            if members is None:
                 continue
             rate = rate0[s]
-            act.rate = rate
+            for act in members:
+                act.rate = rate
             rem = remaining[s]
             if rate == inf or rem <= thresh[s]:
                 horizon = 0.0
@@ -1295,18 +1354,24 @@ class FairShareModel:
             v = version[s] + 1
             version[s] = v
             heappush(heap, (now + horizon, next(entry_ids), s, v))
-            count_solved += 1
+            count_solved += len(members)
+            rows += 1
         self.solver_time += perf_counter() - started
         self.resolves += count_solved
         self.fast_solves += count_solved
         self.slot_solves += count_solved
+        self.slot_rows += rows
         self.solved_activities += count_solved
         if count_solved and self.max_solve_scope < 1:
             self.max_solve_scope = 1
         return count_solved
 
     def _compact_heap(self) -> None:
-        """Drop stale horizon entries once they dominate the heap."""
+        """Drop stale horizon entries once they dominate the heap.
+
+        Live owners are components and slot-table rows: one heap entry
+        each, however many members a row has.
+        """
         heap = self._horizon_heap
         table = self._array
         live = table.live if table is not None else 0
@@ -1398,7 +1463,7 @@ class FairShareModel:
             return
 
         finished: List[Activity] = []
-        finished_slots: Dict[Activity, int] = {}
+        finished_rows: List[int] = []
         # An activity is also done when its residue's completion time
         # rounds to ``now`` (``now + remaining / rate == now``): it cannot
         # progress, and re-arming would wake at this same instant forever.
@@ -1417,7 +1482,10 @@ class FairShareModel:
             # horizon re-arms and converges within tolerance.
             self._mark_dirty(comp)
         if due_slots:
-            # Inlined _integrate_slot + finished check, columns hoisted.
+            # Inlined _integrate_slot + finished check, columns hoisted.  A
+            # finished row's members get ``remaining = 0.0`` below, which
+            # overwrites the integration write-back, so only the rows that
+            # go on write it.
             t_act = table.act  # type: ignore[union-attr]
             t_rate0 = table.rate0  # type: ignore[union-attr]
             t_rem = table.remaining  # type: ignore[union-attr]
@@ -1425,69 +1493,44 @@ class FairShareModel:
             t_thresh = table.thresh  # type: ignore[union-attr]
             dirty_slots = self._dirty_slots
             for s in due_slots:
-                act = t_act[s]
                 rate = t_rate0[s]
                 rem = t_rem[s]
                 dt = now - t_last[s]
                 if dt > 0:
                     if rate == inf:
                         rem = 0.0
-                        t_rem[s] = 0.0
-                        act.remaining = 0.0  # type: ignore[union-attr]
                     elif rate > 0:
                         rem = rem - rate * dt
                         if rem < 0.0:
                             rem = 0.0
-                        t_rem[s] = rem
-                        act.remaining = rem  # type: ignore[union-attr]
-                    t_last[s] = now
-                else:
-                    t_last[s] = now
+                t_last[s] = now
                 if rate == inf or rem <= t_thresh[s] or (rate > 0 and now + rem / rate == now):
-                    finished.append(act)  # type: ignore[arg-type]
-                    finished_slots[act] = s  # type: ignore[index]
-                # Re-dirty like components; a finished slot's dirty mark is
-                # dropped again by the free below (as _remove does for comps).
-                dirty_slots[s] = None
-
-        finished.sort(key=lambda a: a._seq)  # deterministic completion order
-        if finished_slots and not due:
-            # Pure-slot completion burst (the hot shape): inlined _free_slot.
-            t_act = table.act  # type: ignore[union-attr]
-            t_res = table.res  # type: ignore[union-attr]
-            t_version = table.version  # type: ignore[union-attr]
-            free_stack = table.free  # type: ignore[union-attr]
-            slot_of = self._slot_of
-            res_slot = self._res_slot
-            dirty_slots = self._dirty_slots
-            finished_count = len(finished)
-            for act in finished:
-                s = finished_slots[act]
-                del slot_of[act]
-                del res_slot[t_res[s]]
-                t_act[s] = None
-                t_res[s] = None
-                t_version[s] += 1
-                free_stack.append(s)
-                dirty_slots.pop(s, None)
-                act._model = None
-                act.remaining = 0.0
-                act.rate = 0.0
-                act.finished_at = now
-                act.done.succeed(act)
-            table.live -= finished_count  # type: ignore[union-attr]
-        else:
-            for act in finished:
-                s = finished_slots.get(act)
-                if s is not None:
-                    self._free_slot(s)
+                    finished.extend(t_act[s])  # type: ignore[arg-type]
+                    finished_rows.append(s)
                 else:
+                    t_rem[s] = rem
+                    for act in t_act[s]:  # type: ignore[union-attr]
+                        act.remaining = rem
+                    # Re-solve like a component that reached its horizon.
+                    dirty_slots[s] = None
+
+        # Deterministic completion order.  Detaching finished members from
+        # the partition first, then succeeding them, is the same as
+        # interleaving the two: neither step observes the other.
+        finished.sort(key=_by_seq)
+        for s in finished_rows:
+            self._free_slot(s)
+        if due:
+            comp_of = self._comp_of
+            for act in finished:
+                if act in comp_of:
                     self._remove(act)
-                act._model = None
-                act.remaining = 0.0
-                act.rate = 0.0
-                act.finished_at = now
-                act.done.succeed(act)
+        for act in finished:
+            act._model = None
+            act.remaining = 0.0
+            act.rate = 0.0
+            act.finished_at = now
+            act.done.succeed(act)  # type: ignore[union-attr]
         self._flush()
 
     # -- snapshot/restore ---------------------------------------------------
@@ -1516,9 +1559,7 @@ class FairShareModel:
         if self.tracer is not None:
             raise RuntimeError("Cannot snapshot: a tracer is attached to the model")
 
-        acts = sorted(
-            list(self._comp_of) + list(self._slot_of), key=lambda a: a._seq
-        )
+        acts = sorted(list(self._comp_of) + list(self._slot_of), key=_by_seq)
         act_records = []
         for act in acts:
             sid = f"act.{act._seq}"
@@ -1564,19 +1605,22 @@ class FairShareModel:
         table = self._array
         slots = None
         if table is not None:
+            # Rows only: ``_slot_of``/``_res_slot`` are derived from them.
             slots = {
                 "act": [
-                    f"act.{a._seq}" if a is not None else None for a in table.act
+                    [f"act.{a._seq}" for a in members] if members is not None else None
+                    for members in table.act
                 ],
                 "res": [
-                    res_index[r] if r is not None else None for r in table.res
+                    [res_index[r] for r in rs] if rs is not None else None
+                    for rs in table.res
                 ],
+                "cid": [list(cids) if cids is not None else None for cids in table.cid],
                 "rate0": list(table.rate0),
                 "thresh": list(table.thresh),
                 "remaining": list(table.remaining),
                 "last": list(table.last),
                 "version": list(table.version),
-                "cid": list(table.cid),
                 "free": list(table.free),
                 "live": table.live,
             }
@@ -1610,8 +1654,6 @@ class FairShareModel:
             "components": components,
             "res_users": res_users,
             "slots": slots,
-            "slot_of": [[f"act.{a._seq}", s] for a, s in self._slot_of.items()],
-            "res_slot": [[res_index[r], s] for r, s in self._res_slot.items()],
             "horizon_heap": heap_records,
             "entry_ids": next(self._entry_ids),
             "comp_ids": next(self._comp_ids),
@@ -1629,6 +1671,7 @@ class FairShareModel:
                 "fast_solves": self.fast_solves,
                 "scalar_solves": self.scalar_solves,
                 "slot_solves": self.slot_solves,
+                "slot_rows": self.slot_rows,
             },
         }
 
@@ -1695,24 +1738,26 @@ class FairShareModel:
         if table is not None:
             slots = state["slots"]
             table.act = [
-                acts_by_sid[sid] if sid is not None else None
-                for sid in slots["act"]
+                [acts_by_sid[sid] for sid in sids] if sids is not None else None
+                for sids in slots["act"]
             ]
             table.res = [
-                resources[i] if i is not None else None for i in slots["res"]
+                [resources[i] for i in idxs] if idxs is not None else None
+                for idxs in slots["res"]
             ]
+            table.cid = [list(c) if c is not None else None for c in slots["cid"]]
             table.rate0 = list(slots["rate0"])
             table.thresh = list(slots["thresh"])
             table.remaining = list(slots["remaining"])
             table.last = list(slots["last"])
             table.version = list(slots["version"])
-            table.cid = list(slots["cid"])
             table.free = list(slots["free"])
             table.live = slots["live"]
-        for sid, s in state["slot_of"]:
-            self._slot_of[acts_by_sid[sid]] = s
-        for idx, s in state["res_slot"]:
-            self._res_slot[resources[idx]] = s
+            for s, members in enumerate(table.act):
+                if members is not None:
+                    for act, res in zip(members, table.res[s]):  # type: ignore[arg-type]
+                        self._slot_of[act] = s
+                        self._res_slot[res] = s
 
         heap: List[tuple] = []
         for time, entry_id, (kind, ref), version in state["horizon_heap"]:
@@ -1759,3 +1804,4 @@ class FairShareModel:
         self.fast_solves = counters["fast_solves"]
         self.scalar_solves = counters["scalar_solves"]
         self.slot_solves = counters["slot_solves"]
+        self.slot_rows = counters["slot_rows"]

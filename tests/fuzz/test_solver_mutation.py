@@ -28,8 +28,8 @@ from repro.fuzz.runner import FuzzFailure
 #: The exact source line being mutated; if the kernel changes shape, this
 #: assertion failing is the signal to re-derive the mutation, not to
 #: delete the test.
-SATURATION_LINE = "if users[res] and cap <= max(1e-12, 1e-12 * res.capacity):"
-MUTATED_LINE = "if users[res] and cap <= max(1e-12, 1e-1 * res.capacity):"
+SATURATION_LINE = "tol[res] = max(1e-12, 1e-12 * res.capacity)"
+MUTATED_LINE = "tol[res] = max(1e-12, 1e-1 * res.capacity)"
 
 SEED_SEARCH_BOUND = 50
 

@@ -55,3 +55,18 @@ def test_simulation_attaches_solver_stats():
     assert monitor.solver is not None
     assert monitor.solver.resolves > 0
     assert monitor.solver.solved_activities >= monitor.solver.resolves
+
+
+def test_slot_rows_counts_fan_outs_not_members():
+    # One fan-out of 4 members is one slot-table row solve; the activity
+    # counters still count members.
+    env = Environment()
+    model = FairShareModel(env, array_engine=True)
+    model.execute_many(
+        [Activity(100.0, {SharedResource(f"r{i}", 10.0): 1.0}) for i in range(4)]
+    )
+    env.run()
+    stats = SolverStats.from_model(model)
+    assert stats.slot_rows == 1
+    assert stats.slot_solves == stats.resolves == 4
+    assert stats.as_dict()["slot_rows"] == 1

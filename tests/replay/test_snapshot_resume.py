@@ -218,6 +218,15 @@ class TestSnapshotDocument:
         with pytest.raises(ReplayError):
             Snapshot.from_dict(doc)
 
+    def test_schema_1_snapshot_refused(self):
+        # Schema 2 records slot-table rows (several members each); a
+        # schema-1 document holds one activity per slot and cannot load.
+        _, _, snapshots = snapshot_run(_rigid_mix(), 100)
+        doc = snapshots[0].to_dict()
+        doc["schema_version"] = 1
+        with pytest.raises(ReplayError, match="schema version 1"):
+            Snapshot.from_dict(doc)
+
     def test_capture_requires_spec(self):
         """Snapshots need a from_spec-built sim (the spec rides along)."""
         from repro.platform import platform_from_dict
